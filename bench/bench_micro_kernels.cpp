@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks of the computational kernels: spectral
-// Poisson solve, WA wirelength gradient, LP solve, sequence-pair packing,
-// GNN forward+backward. Useful for tracking performance regressions of the
-// inner loops that dominate the flows.
+// Poisson solve, WA wirelength gradient, LP solve, ILP legalization,
+// sequence-pair packing, GNN forward+backward. Useful for tracking
+// performance regressions of the inner loops that dominate the flows.
 
 #include <benchmark/benchmark.h>
 
@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 
 #include "base/simd.hpp"
 #include "bench_common.hpp"
@@ -16,6 +17,8 @@
 #include "density/electro.hpp"
 #include "gnn/graph.hpp"
 #include "gnn/model.hpp"
+#include "gp/eplace_gp.hpp"
+#include "legal/ilp_detailed.hpp"
 #include "netlist/compiled.hpp"
 #include "netlist/evaluator.hpp"
 #include "numeric/fft.hpp"
@@ -315,6 +318,35 @@ void print_sa_kernel_table(bench::JsonReport& json) {
   }
 }
 
+// Quick-mode legalizer row: IlpDetailedPlacer::place on VCO2 from one fixed
+// GP start, best of three. The ILP legalizer is most of ePlace-A's time and
+// its cost is the LP kernel's, so this row (ilp-place) is the regression
+// gate for src/solver/lp.cpp inside a real legalization.
+void print_ilp_table(bench::JsonReport& json) {
+  using clock = std::chrono::steady_clock;
+  const std::string circuit = "VCO2";
+  circuits::TestCase tc = circuits::make_testcase(circuit);
+  const auto cc = std::make_shared<const netlist::CompiledCircuit>(tc.circuit);
+  const gp::GpResult start = gp::EPlaceGlobalPlacer(cc, {}).run();
+  const legal::IlpDetailedPlacer placer(cc, {});
+  double best = 1e300;
+  bool ok = true;
+  long nodes = 0;
+  for (int rep = 0; rep < 3; ++rep) {
+    const auto t0 = clock::now();
+    const legal::IlpResult r = placer.place(start.positions);
+    best = std::min(
+        best, std::chrono::duration<double>(clock::now() - t0).count());
+    ok = ok && r.ok();
+    nodes = r.bb_nodes;
+  }
+  std::printf("\n==== ILP legalizer (%s, fixed GP start) ====\n",
+              circuit.c_str());
+  std::printf("ilp-place %.3f s (best of 3), %ld B&B nodes, %s\n", best,
+              nodes, ok ? "ok" : "FAILED");
+  json.add_timing(circuit, "ilp-place", best);
+}
+
 // Exact HPWL through the AoS path: walk Net/Pin objects and ask the
 // Placement for each pin position. This is what every engine did before the
 // compiled flat core existed — kept here as the "before" side of the
@@ -591,6 +623,7 @@ void print_spectral_table() {
   print_simd_kernel_table(json);
   print_compiled_core_table(json);
   print_sa_kernel_table(json);
+  print_ilp_table(json);
   print_gp_term_breakdown(json);
   json.write();
 }

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <vector>
+
+#include "obs/metrics.hpp"
 
 namespace aplace::solver {
 
@@ -49,14 +52,13 @@ struct VarMap {
   double upper_row_rhs = kInf;  ///< finite => x' <= rhs row added
 };
 
+// Column side of the standard form. The rows are not materialized here:
+// Tableau::load writes them straight from the sparse constraint terms.
 struct Standard {
-  std::size_t n_cols = 0;  // structural standard-form columns
+  std::size_t n_cols = 0;   // structural standard-form columns
+  std::size_t n_upper = 0;  // x' <= rhs rows, one per boxed variable
   std::vector<VarMap> map;
-  // rows: coefficients over structural columns, relation, rhs
-  std::vector<std::vector<double>> rows;
-  std::vector<Relation> rels;
-  std::vector<double> rhs;
-  std::vector<double> cost;    // structural costs
+  std::vector<double> cost;  // structural costs
   double cost_offset = 0.0;
 };
 
@@ -76,7 +78,10 @@ Standard to_standard_form(const LpProblem& p) {
       m.offset = lo;
       m.sign = 1.0;
       m.col = static_cast<int>(s.n_cols++);
-      if (hi < kInf) m.upper_row_rhs = hi - lo;
+      if (hi < kInf) {
+        m.upper_row_rhs = hi - lo;
+        ++s.n_upper;
+      }
     } else {
       // lo == -inf, hi finite: x = hi - x'
       m.offset = hi;
@@ -93,93 +98,55 @@ Standard to_standard_form(const LpProblem& p) {
     if (m.col_neg >= 0) s.cost[m.col_neg] -= c;
     s.cost_offset += c * m.offset;
   }
-
-  auto add_row = [&](const std::vector<LpTerm>& terms, Relation rel,
-                     double rhs) {
-    std::vector<double> row(s.n_cols, 0.0);
-    double b = rhs;
-    for (const LpTerm& t : terms) {
-      const VarMap& m = s.map[t.var];
-      row[m.col] += t.coef * m.sign;
-      if (m.col_neg >= 0) row[m.col_neg] -= t.coef;
-      b -= t.coef * m.offset;
-    }
-    s.rows.push_back(std::move(row));
-    s.rels.push_back(rel);
-    s.rhs.push_back(b);
-  };
-
-  for (const LpConstraint& c : p.constraints()) {
-    add_row(c.terms, c.relation, c.rhs);
-  }
-  // Upper-bound rows for shifted variables.
-  for (std::size_t j = 0; j < n; ++j) {
-    const VarMap& m = s.map[j];
-    if (m.upper_row_rhs < kInf) {
-      std::vector<double> row(s.n_cols, 0.0);
-      row[m.col] = 1.0;
-      s.rows.push_back(std::move(row));
-      s.rels.push_back(Relation::LessEq);
-      s.rhs.push_back(m.upper_row_rhs);
-    }
-  }
   return s;
 }
 
-// Dense two-phase tableau simplex over the standard form. Flat row-major
-// storage: a_[r * stride + c], last column = rhs.
+// Per-thread storage reused across solves: the legalizer makes hundreds of
+// solves per flow, and a fresh multi-megabyte tableau each time costs an
+// allocation plus a page fault per touched page.
+struct Workspace {
+  std::vector<double> a;     // tableau, column-major; last column = rhs
+  std::vector<double> red;   // reduced cost row (last entry: -objective)
+  std::vector<double> cost;  // column costs of the current phase
+  std::vector<int> basis;
+  std::vector<std::size_t> nonbasic;  // columns out of the basis
+  std::vector<std::size_t> nz;        // nonzero columns of the pivot row
+  std::vector<std::size_t> rows;      // rows to eliminate or price, and
+  std::vector<double> factors;        // their multipliers
+  std::vector<double> rhs;            // per row, normalized to >= 0
+  std::vector<double> flip;           // per row: -1 if negated to get there
+  std::vector<Relation> rels;         // per row, after normalization
+};
+
+// Two-phase tableau simplex over the standard form, stored dense and
+// column-major: entry (row i, column j) at a[j * m + i], last column = rhs.
+// Columns are contiguous because the ratio test and the elimination walk
+// columns; only the pivot row is read across.
+//
+// Pricing is Dantzig's rule, switching to Bland's after a degeneracy
+// streak; the ratio test breaks ties by the lowest basic column. Those are
+// the rules and the arithmetic of a dense tableau whose every pivot
+// computes a[i][j] -= a[i][c] * prow[j] over all rows and columns. This one
+// updates only the rows with a[i][c] != 0 and the columns with prow[j] != 0.
+// A skipped entry is one where the dense update computes x - f * 0 or
+// x - 0 * y, which changes at most the sign of a zero, and no pricing, ratio
+// or zero test can observe that sign. So the pivot sequence, and the answer
+// up to the sign of zero, are exactly those of the dense update;
+// tests/lp_dense_oracle.cpp keeps it and checks this.
+//
+// The pivot row is gathered over the nonbasic columns only: a basic column
+// is an exact unit column (set so when it entered, and every later pivot
+// row holds an exact zero in it), so it has no other nonzero in row r.
 class Tableau {
  public:
-  Tableau(const Standard& s, const SimplexOptions& opts)
-      : opts_(opts), m_(s.rows.size()), n_struct_(s.n_cols) {
-    // Normalize rows so rhs >= 0 first.
-    std::vector<std::vector<double>> rows = s.rows;
-    std::vector<Relation> rels = s.rels;
-    std::vector<double> rhs = s.rhs;
-    for (std::size_t i = 0; i < m_; ++i) {
-      if (rhs[i] < 0) {
-        for (double& v : rows[i]) v = -v;
-        rhs[i] = -rhs[i];
-        if (rels[i] == Relation::LessEq) rels[i] = Relation::GreaterEq;
-        else if (rels[i] == Relation::GreaterEq) rels[i] = Relation::LessEq;
-      }
-    }
-    std::size_t n_slack = 0, n_art = 0;
-    for (Relation r : rels) {
-      if (r == Relation::LessEq) ++n_slack;
-      else if (r == Relation::GreaterEq) { ++n_slack; ++n_art; }
-      else ++n_art;
-    }
-    n_total_ = n_struct_ + n_slack + n_art;
-    art_begin_ = n_struct_ + n_slack;
-    stride_ = n_total_ + 1;
-    a_.assign(m_ * stride_, 0.0);
-    basis_.assign(m_, -1);
-
-    std::size_t slack_col = n_struct_;
-    std::size_t art_col = art_begin_;
-    for (std::size_t i = 0; i < m_; ++i) {
-      double* row = &a_[i * stride_];
-      for (std::size_t j = 0; j < n_struct_; ++j) row[j] = rows[i][j];
-      row[n_total_] = rhs[i];
-      switch (rels[i]) {
-        case Relation::LessEq:
-          row[slack_col] = 1.0;
-          basis_[i] = static_cast<int>(slack_col++);
-          break;
-        case Relation::GreaterEq:
-          row[slack_col++] = -1.0;
-          row[art_col] = 1.0;
-          basis_[i] = static_cast<int>(art_col++);
-          break;
-        case Relation::Equal:
-          row[art_col] = 1.0;
-          basis_[i] = static_cast<int>(art_col++);
-          break;
-      }
-    }
-    cost_.assign(n_total_, 0.0);
-    for (std::size_t j = 0; j < n_struct_; ++j) cost_[j] = s.cost[j];
+  Tableau(const LpProblem& p, const Standard& s, const SimplexOptions& opts,
+          Workspace& ws)
+      : opts_(opts),
+        m_(p.num_constraints() + s.n_upper),
+        n_struct_(s.n_cols),
+        struct_cost_(s.cost),
+        ws_(ws) {
+    load(p, s);
     max_iters_ = opts_.max_iters > 0
                      ? opts_.max_iters
                      : static_cast<long>(60 * (m_ + n_total_) + 2000);
@@ -188,19 +155,18 @@ class Tableau {
   LpStatus solve() {
     // ---- Phase 1: minimize sum of artificials ----
     if (art_begin_ < n_total_) {
-      std::vector<double> phase1(n_total_, 0.0);
-      for (std::size_t j = art_begin_; j < n_total_; ++j) phase1[j] = 1.0;
-      build_reduced_costs(phase1);
+      std::fill(ws_.cost.begin() + static_cast<std::ptrdiff_t>(art_begin_),
+                ws_.cost.end(), 1.0);
+      build_reduced_costs();
       const LpStatus st = iterate(/*phase1=*/true);
       if (st != LpStatus::Optimal) return st;
-      if (objective_value(phase1) > 1e-6) return LpStatus::Infeasible;
+      if (objective_value() > 1e-6) return LpStatus::Infeasible;
       // Drive remaining artificial basics out where possible.
       for (std::size_t i = 0; i < m_; ++i) {
-        if (static_cast<std::size_t>(basis_[i]) >= art_begin_) {
-          const double* row = &a_[i * stride_];
+        if (static_cast<std::size_t>(ws_.basis[i]) >= art_begin_) {
           std::size_t piv = n_total_;
           for (std::size_t j = 0; j < art_begin_; ++j) {
-            if (std::abs(row[j]) > opts_.tol) { piv = j; break; }
+            if (std::abs(col(j)[i]) > opts_.tol) { piv = j; break; }
           }
           if (piv < n_total_) pivot(i, piv);
           // else: redundant row; artificial stays basic at value 0.
@@ -208,63 +174,211 @@ class Tableau {
       }
     }
     // ---- Phase 2 ----
-    build_reduced_costs(cost_);
+    std::fill(ws_.cost.begin(), ws_.cost.end(), 0.0);
+    std::copy(struct_cost_.begin(), struct_cost_.end(), ws_.cost.begin());
+    build_reduced_costs();
     return iterate(/*phase1=*/false);
   }
 
+  [[nodiscard]] long pivots() const { return pivots_; }
+
   [[nodiscard]] std::vector<double> structural_values() const {
     std::vector<double> x(n_struct_, 0.0);
+    const double* rhs = col(n_total_);
     for (std::size_t i = 0; i < m_; ++i) {
-      if (basis_[i] >= 0 && static_cast<std::size_t>(basis_[i]) < n_struct_) {
-        x[basis_[i]] = a_[i * stride_ + n_total_];
-      }
+      const int b = ws_.basis[i];
+      if (b >= 0 && static_cast<std::size_t>(b) < n_struct_) x[b] = rhs[i];
     }
     return x;
   }
 
  private:
-  void build_reduced_costs(const std::vector<double>& c) {
-    red_.assign(stride_, 0.0);
-    for (std::size_t j = 0; j < n_total_; ++j) red_[j] = c[j];
+  [[nodiscard]] double* col(std::size_t j) { return &ws_.a[j * m_]; }
+  [[nodiscard]] const double* col(std::size_t j) const {
+    return &ws_.a[j * m_];
+  }
+
+  // Writes every row straight from its sparse terms, normalized to rhs >= 0,
+  // with a slack (<=, >=) and/or an artificial (>=, =) column.
+  void load(const LpProblem& p, const Standard& s) {
+    const std::vector<LpConstraint>& cons = p.constraints();
+    ws_.rhs.clear();
+    ws_.flip.clear();
+    ws_.rels.clear();
+    for (const LpConstraint& c : cons) {
+      double b = c.rhs;
+      for (const LpTerm& t : c.terms) b -= t.coef * s.map[t.var].offset;
+      Relation rel = c.relation;
+      double flip = 1.0;
+      if (b < 0) {
+        b = -b;
+        flip = -1.0;
+        if (rel == Relation::LessEq) rel = Relation::GreaterEq;
+        else if (rel == Relation::GreaterEq) rel = Relation::LessEq;
+      }
+      ws_.rhs.push_back(b);
+      ws_.flip.push_back(flip);
+      ws_.rels.push_back(rel);
+    }
+    for (const VarMap& m : s.map) {
+      if (m.upper_row_rhs < kInf) {
+        ws_.rhs.push_back(m.upper_row_rhs);
+        ws_.flip.push_back(1.0);
+        ws_.rels.push_back(Relation::LessEq);
+      }
+    }
+
+    std::size_t n_slack = 0, n_art = 0;
+    for (Relation r : ws_.rels) {
+      if (r == Relation::LessEq) ++n_slack;
+      else if (r == Relation::GreaterEq) { ++n_slack; ++n_art; }
+      else ++n_art;
+    }
+    n_total_ = n_struct_ + n_slack + n_art;
+    art_begin_ = n_struct_ + n_slack;
+    const std::size_t size = m_ * (n_total_ + 1);
+    // Free a too-small tableau before allocating its successor, so a thread
+    // holds one tableau at its peak size rather than every size it grew by.
+    if (ws_.a.capacity() < size) std::vector<double>().swap(ws_.a);
+    ws_.a.assign(size, 0.0);
+    ws_.basis.assign(m_, -1);
+    ws_.nonbasic.resize(n_struct_);
+    std::iota(ws_.nonbasic.begin(), ws_.nonbasic.end(), std::size_t{0});
+    ws_.cost.assign(n_total_, 0.0);
+    ws_.red.resize(n_total_ + 1);
+
+    std::size_t slack_col = n_struct_;
+    std::size_t art_col = art_begin_;
+    std::size_t next_upper = 0;  // s.map index of the next boxed variable
     for (std::size_t i = 0; i < m_; ++i) {
-      const double cb = c[basis_[i]];
-      if (cb == 0.0) continue;
-      const double* row = &a_[i * stride_];
-      for (std::size_t j = 0; j < stride_; ++j) red_[j] -= cb * row[j];
+      const auto at = [&](std::size_t j) -> double& { return col(j)[i]; };
+      const Relation rel = ws_.rels[i];
+      if (i < cons.size()) {
+        // A flipped row is written term by term negated. IEEE negation is
+        // exact and rounding is sign-symmetric, so this equals negating the
+        // accumulated row afterwards.
+        const LpConstraint& c = cons[i];
+        const double flip = ws_.flip[i];
+        for (const LpTerm& t : c.terms) {
+          const VarMap& m = s.map[t.var];
+          at(m.col) += flip * (t.coef * m.sign);
+          if (m.col_neg >= 0) at(m.col_neg) -= flip * t.coef;
+        }
+      } else {
+        while (!(s.map[next_upper].upper_row_rhs < kInf)) ++next_upper;
+        at(s.map[next_upper++].col) = 1.0;
+      }
+      at(n_total_) = ws_.rhs[i];
+      switch (rel) {
+        case Relation::LessEq:
+          at(slack_col) = 1.0;
+          ws_.basis[i] = static_cast<int>(slack_col++);
+          break;
+        case Relation::GreaterEq:
+          ws_.nonbasic.push_back(slack_col);
+          at(slack_col++) = -1.0;
+          at(art_col) = 1.0;
+          ws_.basis[i] = static_cast<int>(art_col++);
+          break;
+        case Relation::Equal:
+          at(art_col) = 1.0;
+          ws_.basis[i] = static_cast<int>(art_col++);
+          break;
+      }
     }
   }
 
-  [[nodiscard]] double objective_value(const std::vector<double>& c) const {
-    double v = 0;
+  // Prices the current basis from scratch: red = c - sum_i c_B(i) * row_i,
+  // accumulated over rows in order.
+  void build_reduced_costs() {
+    const std::vector<double>& c = ws_.cost;
+    std::copy(c.begin(), c.end(), ws_.red.begin());
+    ws_.red[n_total_] = 0.0;
+    ws_.rows.clear();
+    ws_.factors.clear();
     for (std::size_t i = 0; i < m_; ++i) {
-      v += c[basis_[i]] * a_[i * stride_ + n_total_];
+      const double cb = c[ws_.basis[i]];
+      if (cb == 0.0) continue;
+      ws_.rows.push_back(i);
+      ws_.factors.push_back(cb);
     }
+    for (std::size_t j = 0; j <= n_total_; ++j) {
+      const double* cj = col(j);
+      double r = ws_.red[j];
+      for (std::size_t k = 0; k < ws_.rows.size(); ++k) {
+        r -= ws_.factors[k] * cj[ws_.rows[k]];
+      }
+      ws_.red[j] = r;
+    }
+  }
+
+  [[nodiscard]] double objective_value() const {
+    const double* rhs = col(n_total_);
+    double v = 0;
+    for (std::size_t i = 0; i < m_; ++i) v += ws_.cost[ws_.basis[i]] * rhs[i];
     return v;
   }
 
   void pivot(std::size_t r, std::size_t c) {
-    double* prow = &a_[r * stride_];
-    const double piv = prow[c];
-    const double inv = 1.0 / piv;
-    for (std::size_t j = 0; j < stride_; ++j) prow[j] *= inv;
-    prow[c] = 1.0;  // kill roundoff on the pivot column
+    ++pivots_;
+    double* a = ws_.a.data();
+    // Scale the pivot row and gather its nonzero columns: among the
+    // nonbasic ones, the leaving column and the rhs. The entering column's
+    // place in the nonbasic list goes to the leaving one.
+    const double inv = 1.0 / a[c * m_ + r];
+    std::vector<std::size_t>& nz = ws_.nz;
+    nz.clear();
+    const std::size_t leaving = static_cast<std::size_t>(ws_.basis[r]);
+    for (std::size_t& j : ws_.nonbasic) {
+      double& v = a[j * m_ + r];
+      if (v != 0.0) {
+        v *= inv;
+        nz.push_back(j);
+      }
+      if (j == c) j = leaving;
+    }
+    for (const std::size_t j : {leaving, n_total_}) {
+      double& v = a[j * m_ + r];
+      if (v != 0.0) {
+        v *= inv;
+        nz.push_back(j);
+      }
+    }
+    a[c * m_ + r] = 1.0;  // kill roundoff on the pivot column
+    // Rows to eliminate: the other nonzeros of the pivot column.
+    double* pc = col(c);
+    std::vector<std::size_t>& rows = ws_.rows;
+    std::vector<double>& factors = ws_.factors;
+    rows.clear();
+    factors.clear();
     for (std::size_t i = 0; i < m_; ++i) {
-      if (i == r) continue;
-      double* row = &a_[i * stride_];
-      const double f = row[c];
-      if (f == 0.0) continue;
-      for (std::size_t j = 0; j < stride_; ++j) row[j] -= f * prow[j];
-      row[c] = 0.0;
+      if (i != r && pc[i] != 0.0) {
+        rows.push_back(i);
+        factors.push_back(pc[i]);
+      }
     }
-    const double f = red_[c];
+    for (const std::size_t j : nz) {
+      if (j == c) continue;
+      double* cj = col(j);
+      const double pj = cj[r];
+      for (std::size_t k = 0; k < rows.size(); ++k) {
+        cj[rows[k]] -= factors[k] * pj;
+      }
+    }
+    for (const std::size_t i : rows) pc[i] = 0.0;
+    double* red = ws_.red.data();
+    const double f = red[c];
     if (f != 0.0) {
-      for (std::size_t j = 0; j < stride_; ++j) red_[j] -= f * prow[j];
-      red_[c] = 0.0;
+      for (const std::size_t j : nz) red[j] -= f * a[j * m_ + r];
+      red[c] = 0.0;
     }
-    basis_[r] = static_cast<int>(c);
+    ws_.basis[r] = static_cast<int>(c);
   }
 
   LpStatus iterate(bool phase1) {
+    const double* red = ws_.red.data();
+    const double* rhs = col(n_total_);
+    const std::vector<int>& basis = ws_.basis;
     long degenerate_streak = 0;
     for (long it = 0; it < max_iters_; ++it) {
       // Entering column: Dantzig rule, Bland after a degeneracy streak.
@@ -273,8 +387,8 @@ class Tableau {
       double best = -opts_.tol;
       const std::size_t limit = phase1 ? n_total_ : art_begin_;
       for (std::size_t j = 0; j < limit; ++j) {
-        if (red_[j] < best) {
-          best = red_[j];
+        if (red[j] < best) {
+          best = red[j];
           enter = j;
           if (bland) break;
         }
@@ -282,15 +396,16 @@ class Tableau {
       if (enter == n_total_) return LpStatus::Optimal;
 
       // Ratio test.
+      const double* ce = col(enter);
       std::size_t leave = m_;
       double best_ratio = kInf;
       for (std::size_t i = 0; i < m_; ++i) {
-        const double aij = a_[i * stride_ + enter];
+        const double aij = ce[i];
         if (aij > opts_.tol) {
-          const double ratio = a_[i * stride_ + n_total_] / aij;
+          const double ratio = rhs[i] / aij;
           if (ratio < best_ratio - 1e-12 ||
               (ratio < best_ratio + 1e-12 && leave < m_ &&
-               basis_[i] < basis_[leave])) {
+               basis[i] < basis[leave])) {
             best_ratio = ratio;
             leave = i;
           }
@@ -306,22 +421,23 @@ class Tableau {
   SimplexOptions opts_;
   std::size_t m_;
   std::size_t n_struct_;
+  const std::vector<double>& struct_cost_;
+  Workspace& ws_;
   std::size_t n_total_ = 0;
   std::size_t art_begin_ = 0;
-  std::size_t stride_ = 0;
   long max_iters_ = 0;
-  std::vector<double> a_;  // flat row-major tableau, last column = rhs
-  std::vector<double> cost_;
-  std::vector<double> red_;  // reduced cost row
-  std::vector<int> basis_;
+  long pivots_ = 0;
 };
 
 }  // namespace
 
 LpSolution solve_lp(const LpProblem& p, SimplexOptions opts) {
+  static const obs::Counter solves = obs::counter("solver/lp/solves");
+  static const obs::Counter pivots = obs::counter("solver/lp/pivots");
+  solves.inc();
   LpSolution sol;
   const Standard s = to_standard_form(p);
-  if (s.rows.empty()) {
+  if (p.num_constraints() + s.n_upper == 0) {
     // Unconstrained: optimum is at a finite bound for every variable with
     // nonzero cost; infinite otherwise -> report unbounded.
     sol.x.assign(p.num_variables(), 0.0);
@@ -345,8 +461,11 @@ LpSolution solve_lp(const LpProblem& p, SimplexOptions opts) {
     return sol;
   }
 
-  Tableau t(s, opts);
+  thread_local Workspace ws;
+  Tableau t(p, s, opts, ws);
   sol.status = t.solve();
+  sol.pivots = t.pivots();
+  pivots.add(static_cast<std::uint64_t>(sol.pivots));
   if (sol.status != LpStatus::Optimal) return sol;
 
   const std::vector<double> xs = t.structural_values();

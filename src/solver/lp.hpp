@@ -3,9 +3,11 @@
 //
 // The problem is stated in natural form: variables with (possibly infinite)
 // bounds and a linear cost, constraints as sparse rows with <=, >= or ==
-// relations. solve_lp() runs a dense two-phase primal simplex; analog
-// placement problems have at most a few hundred variables and rows, so a
-// dense tableau is both simple and fast enough.
+// relations. solve_lp() runs a two-phase primal tableau simplex. The
+// legalizer's programs have a few hundred rows of 2-4 nonzeros each, and
+// the tableau stays a few percent dense, so each pivot updates only the
+// nonzero columns of the scaled pivot row (see docs/PERFORMANCE.md, "LP
+// kernel").
 //
 // solve_milp() (see milp.hpp) adds branch-and-bound over variables marked
 // integer — in this project the device-flipping binaries of the ILP detailed
@@ -47,6 +49,7 @@ struct LpSolution {
   LpStatus status = LpStatus::IterLimit;
   std::vector<double> x;  ///< values of the natural variables
   double objective = 0.0;
+  long pivots = 0;  ///< simplex pivots taken, both phases
 
   [[nodiscard]] bool ok() const { return status == LpStatus::Optimal; }
 };
@@ -92,7 +95,10 @@ class LpProblem {
 };
 
 struct SimplexOptions {
-  long max_iters = 0;  ///< 0 = automatic (50 * (rows + cols))
+  /// Per-phase iteration cap; 0 = automatic, 60 * (rows + columns) + 2000
+  /// where rows include the variable-bound rows and columns count the
+  /// structural, slack and artificial columns of the standard form.
+  long max_iters = 0;
   double tol = 1e-9;   ///< pivot / feasibility tolerance
 };
 

@@ -6,6 +6,8 @@
 #include <tuple>
 #include <vector>
 
+#include "obs/metrics.hpp"
+
 namespace aplace::solver {
 namespace {
 
@@ -35,6 +37,8 @@ std::optional<int> pick_branch_var(const LpProblem& p,
 }  // namespace
 
 MilpSolution solve_milp(const LpProblem& p, MilpOptions opts) {
+  static const obs::Counter nodes = obs::counter("solver/milp/nodes");
+  static const obs::Counter truncations = obs::counter("solver/milp/truncated");
   MilpSolution best;
   best.status = LpStatus::Infeasible;
 
@@ -52,6 +56,7 @@ MilpSolution solve_milp(const LpProblem& p, MilpOptions opts) {
     Node node = std::move(stack.back());
     stack.pop_back();
     ++best.nodes_explored;
+    nodes.inc();
 
     // Apply node bounds on a fresh copy of the original bounds.
     for (std::size_t j = 0; j < p.num_variables(); ++j) {
@@ -101,12 +106,14 @@ MilpSolution solve_milp(const LpProblem& p, MilpOptions opts) {
     Node down = node, up = node;
     down.bounds.emplace_back(var, p.lower_bound(var), std::floor(val));
     up.bounds.emplace_back(var, std::ceil(val), p.upper_bound(var));
-    // Tighten against any earlier override of the same variable.
+    // Overrides only accumulate here; applying a node intersects them with
+    // the earlier ones on the same variable (see the loop above).
     stack.push_back(std::move(up));
     stack.push_back(std::move(down));
   }
   if (!stack.empty()) truncated = true;
   best.proven_optimal = best.status == LpStatus::Optimal && !truncated;
+  if (truncated) truncations.inc();
 
   if (best.status != LpStatus::Optimal) {
     // Rounding fallback: solve the relaxation, fix every integer variable to

@@ -269,6 +269,62 @@ TEST_F(DeterminismTest, GoldenQualityPinnedAcrossFullCircuitRegistry) {
   }
 }
 
+TEST_F(DeterminismTest, EPlaceAGoldenQualityPinnedAcrossFullCircuitRegistry) {
+  // The ePlace-A counterpart of the prior-work pin above, and the one that
+  // sees the ILP legalizer: any drift in the LP vertex the simplex lands on
+  // (pivot rule, tie-break or arithmetic) moves these doubles. Values were
+  // generated with the dense-tableau LP kernel, before the sparse-update
+  // kernel replaced it, so they also pin that the two agree end to end.
+  // Same rules as above: EXPECT_EQ, scalar kernel path, regenerate only for
+  // an intentional algorithm change and say so in the commit message.
+  //
+  // Options keep the ten runs to a few seconds in a Debug build: one
+  // candidate with one GP start (gp.seed 3, the default), at most 200 GP
+  // iterations, a 4-node branch-and-bound, one direction-refinement round
+  // and one reshaping attempt.
+  struct SimdOffGuard {
+    bool saved = simd::default_enabled();
+    SimdOffGuard() { simd::set_default_enabled(false); }
+    ~SimdOffGuard() { simd::set_default_enabled(saved); }
+  } simd_off;
+
+  struct Golden {
+    const char* name;
+    double hpwl, area, overlap_area;
+  };
+  constexpr Golden kGolden[] = {
+      {"Adder", 57.850000000000001, 64, 0},
+      {"CC-OTA", 111.5, 144, 0},
+      {"Comp1", 105.05000000000001, 130, 0},
+      {"Comp2", 165.5, 154, 0},
+      {"CM-OTA1", 85.700000000000003, 120, 0},
+      {"CM-OTA2", 153.5, 224, 0},
+      {"SCF", 372.39999999999998, 1292, 0},
+      {"VGA", 127, 135, 0},
+      {"VCO1", 224.29999999999998, 308, 0},
+      {"VCO2", 377.60000000000002, 407.99999999999994,
+       1.3411494137471891e-13},
+  };
+  ASSERT_EQ(std::size(kGolden), circuits::testcase_names().size());
+
+  for (const Golden& g : kGolden) {
+    circuits::TestCase tc = circuits::make_testcase(g.name);
+    core::EPlaceAOptions opts;
+    opts.candidates = 1;
+    opts.gp.num_starts = 1;
+    opts.gp.max_iters = 200;
+    opts.dp.max_nodes = 4;
+    opts.dp.refine_rounds = 1;
+    opts.dp.reshape_attempts = 1;
+    const core::FlowResult r = core::run_eplace_a(tc.circuit, opts);
+    ASSERT_TRUE(r.ok()) << g.name;
+    EXPECT_TRUE(r.legal(1e-6)) << g.name;
+    EXPECT_EQ(r.quality.hpwl, g.hpwl) << g.name;
+    EXPECT_EQ(r.quality.area, g.area) << g.name;
+    EXPECT_EQ(r.quality.overlap_area, g.overlap_area) << g.name;
+  }
+}
+
 TEST_F(DeterminismTest, BatchResultsIdenticalSequentialVsParallel) {
   circuits::TestCase a = circuits::make_testcase("Adder");
   circuits::TestCase b = circuits::make_testcase("CC-OTA");

@@ -8,16 +8,21 @@
 //     survives exceptions (the span closes during unwinding and still
 //     records), and propagates across thread-pool hops;
 //   * kill switch — with the layer disabled at runtime, neither metrics
-//     nor spans record anything, and re-enabling resumes cleanly.
+//     nor spans record anything, and re-enabling resumes cleanly;
+//   * solver counters — an ePlace-A run counts its LP solves, pivots and
+//     branch-and-bound nodes, and counts nothing with the layer off.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "base/thread_pool.hpp"
+#include "circuits/testcases.hpp"
+#include "core/flow.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 
@@ -242,6 +247,46 @@ TEST(ObsKillSwitchTest, DisabledRecordsNothingAndReenablingResumes) {
   EXPECT_EQ(snap.find_counter("k")->value, 2u);
   const auto* kh = snap.find_histogram("kh");
   EXPECT_EQ(kh->count, 0u);
+}
+
+// ---- solver counters -----------------------------------------------------
+
+TEST(ObsSolverCountersTest, CountedByEPlaceAAndSilentWhenDisabled) {
+  EnabledGuard guard;
+  constexpr const char* kNames[] = {"solver/lp/solves", "solver/lp/pivots",
+                                    "solver/milp/nodes",
+                                    "solver/milp/truncated"};
+  const auto read = [&] {
+    const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().scrape();
+    std::vector<std::uint64_t> values;
+    for (const char* name : kNames) {
+      const auto* row = snap.find_counter(name);
+      values.push_back(row != nullptr ? row->value : 0);
+    }
+    return values;
+  };
+  const circuits::TestCase tc = circuits::make_testcase("CC-OTA");
+  core::EPlaceAOptions opts;
+  opts.candidates = 1;
+  opts.gp.num_starts = 1;
+
+  obs::set_enabled(true);
+  const std::vector<std::uint64_t> before = read();
+  ASSERT_TRUE(core::run_eplace_a(tc.circuit, opts).ok());
+  const std::vector<std::uint64_t> after = read();
+  for (std::size_t k = 0; k < 3; ++k) {
+    EXPECT_GT(after[k], before[k]) << kNames[k];
+  }
+  // Every LP solve pivots at least once on the legalizer's programs.
+  EXPECT_GE(after[1] - before[1], after[0] - before[0]);
+  EXPECT_NE(obs::MetricsRegistry::global().scrape().find_counter(
+                "solver/milp/truncated"),
+            nullptr);
+
+  obs::set_enabled(false);
+  ASSERT_TRUE(core::run_eplace_a(tc.circuit, opts).ok());
+  obs::set_enabled(true);
+  EXPECT_EQ(read(), after);
 }
 
 }  // namespace

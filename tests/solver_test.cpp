@@ -1,12 +1,19 @@
 // LP/MILP solver: simplex on canonical cases (bounded, equality, free
-// variables, infeasible, unbounded, degenerate) and branch-and-bound on
-// small integer programs.
+// variables, infeasible, unbounded, degenerate), branch-and-bound on small
+// integer programs, and a differential test of the sparse simplex kernel
+// against the dense tableau oracle (lp_dense_oracle.hpp).
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <map>
 #include <random>
+#include <string>
 
+#include "lp_dense_oracle.hpp"
 #include "solver/lp.hpp"
 #include "solver/milp.hpp"
 
@@ -308,6 +315,238 @@ TEST(MilpPropertyTest, RelaxationBoundsInteger) {
     ASSERT_TRUE(s.ok());
     EXPECT_LE(rel.objective, s.objective + 1e-9);
   }
+}
+
+}  // namespace
+}  // namespace aplace::solver
+
+namespace aplace::solver {
+namespace {
+
+// ---- sparse kernel vs. dense oracle ----------------------------------------
+
+/// Bitwise equality, except that +0 and -0 compare equal: the sparse kernel
+/// skips x - f*0 updates, which can flip the sign of a zero and nothing else.
+bool same_bits(double a, double b) {
+  if (a == 0.0 && b == 0.0) return true;
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Solves `p` with both kernels; expects the same status and pivot count
+/// and bit-identical x/objective. Returns the status.
+LpStatus expect_same_as_oracle(const LpProblem& p, SimplexOptions opts,
+                               const std::string& what) {
+  const LpSolution want = oracle::solve_lp_dense(p, opts);
+  const LpSolution got = solve_lp(p, opts);
+  EXPECT_EQ(got.status, want.status) << what;
+  EXPECT_EQ(got.pivots, want.pivots) << what;
+  EXPECT_TRUE(same_bits(got.objective, want.objective))
+      << what << ": " << got.objective << " vs " << want.objective;
+  EXPECT_EQ(got.x.size(), want.x.size()) << what;
+  if (got.x.size() == want.x.size()) {
+    for (std::size_t j = 0; j < got.x.size(); ++j) {
+      EXPECT_TRUE(same_bits(got.x[j], want.x[j]))
+          << what << " x[" << j << "]: " << got.x[j] << " vs " << want.x[j];
+    }
+  }
+  return want.status;
+}
+
+/// Random program mixing <=/>=/= rows with free, lower-only, upper-only,
+/// boxed and fixed variables. Small integer data makes degenerate vertices
+/// and ratio-test ties common; repeated terms on one variable occur too.
+LpProblem random_program(std::mt19937_64& rng, int n_vars, int n_rows,
+                         int max_terms, bool integral) {
+  std::uniform_int_distribution<int> kind_d(0, 4), small_d(-6, 6);
+  std::uniform_real_distribution<double> real_d(-6.0, 6.0);
+  const auto value = [&] {
+    return integral ? static_cast<double>(small_d(rng)) : real_d(rng);
+  };
+  LpProblem p;
+  for (int j = 0; j < n_vars; ++j) {
+    const double a = value(), b = value();
+    const double lo = std::min(a, b), hi = std::max(a, b);
+    const double cost = small_d(rng) % 3 == 0 ? 0.0 : value();
+    switch (kind_d(rng)) {
+      case 0: p.add_variable(-kInf, kInf, cost); break;
+      case 1: p.add_variable(lo, kInf, cost); break;
+      case 2: p.add_variable(-kInf, hi, cost); break;
+      case 3: p.add_variable(lo, hi, cost); break;
+      default: p.add_variable(lo, lo, cost); break;
+    }
+  }
+  std::uniform_int_distribution<int> var_d(0, n_vars - 1);
+  std::uniform_int_distribution<int> terms_d(1, max_terms), rel_d(0, 2);
+  for (int r = 0; r < n_rows; ++r) {
+    std::vector<LpTerm> terms;
+    for (int k = terms_d(rng); k > 0; --k) {
+      double c = value();
+      if (c == 0.0) c = 1.0;
+      terms.push_back({var_d(rng), c});
+    }
+    const auto rel = static_cast<Relation>(rel_d(rng));
+    const double rhs = small_d(rng) % 2 == 0 ? 0.0 : value();
+    p.add_constraint(std::move(terms), rel, rhs);
+  }
+  return p;
+}
+
+/// Program shaped like one ILP legalizer round: device centers on a boxed
+/// grid, separation rows oriented by a random "GP" position (so they never
+/// form a cycle), net bounding boxes, symmetry and alignment equalities, and
+/// layout extents W, H. Every row has 2-4 nonzeros; the cost is W + H plus
+/// the net half-perimeters.
+LpProblem legalizer_program(std::mt19937_64& rng, int devices) {
+  std::uniform_int_distribution<int> size_d(2, 8), dev_d(0, devices - 1);
+  std::uniform_int_distribution<int> coin(0, 1), gp_d(0, 3 * devices);
+  LpProblem p;
+  std::vector<int> x, y, w, h, gx, gy;
+  const double extent = 8.0 * devices + 8.0;
+  for (int i = 0; i < devices; ++i) {
+    w.push_back(size_d(rng));
+    h.push_back(size_d(rng));
+    gx.push_back(gp_d(rng));
+    gy.push_back(gp_d(rng));
+    x.push_back(p.add_variable(0.5 * w.back(), extent, 0.0));
+    y.push_back(p.add_variable(0.5 * h.back(), extent, 0.0));
+  }
+  // Symmetric pairs about one free vertical axis share a GP row, so no
+  // vertical separation chain can contradict their y alignment.
+  const int axis = p.add_variable(-kInf, kInf, 0.0);
+  for (int k = 0; k + 1 < devices / 4; k += 2) {
+    gy[k + 1] = gy[k];
+    p.add_constraint({{x[k], 1}, {x[k + 1], 1}, {axis, -2}}, Relation::Equal,
+                     0);
+    p.add_constraint({{y[k], 1}, {y[k + 1], -1}}, Relation::Equal, 0);
+  }
+  const int W = p.add_variable(0, kInf, 1.0);
+  const int H = p.add_variable(0, kInf, 1.0);
+  for (int i = 0; i < devices; ++i) {
+    p.add_constraint({{x[i], 1}, {W, -1}}, Relation::LessEq, -0.5 * w[i]);
+    p.add_constraint({{y[i], 1}, {H, -1}}, Relation::LessEq, -0.5 * h[i]);
+  }
+  // Separation of each device from a few others, along GP order.
+  for (int i = 0; i < devices; ++i) {
+    for (int k = 0; k < 3; ++k) {
+      const int j = dev_d(rng);
+      if (j == i) continue;
+      const bool horizontal = gy[i] == gy[j] || (gx[i] != gx[j] && coin(rng));
+      const std::vector<int>& v = horizontal ? x : y;
+      const std::vector<int>& g = horizontal ? gx : gy;
+      const std::vector<int>& s = horizontal ? w : h;
+      const int lo = g[i] < g[j] || (g[i] == g[j] && i < j) ? i : j;
+      const int hi = lo == i ? j : i;
+      p.add_constraint({{v[hi], 1}, {v[lo], -1}}, Relation::GreaterEq,
+                       0.5 * (s[i] + s[j]));
+    }
+  }
+  // Nets: a free bounding box [lo, hi] per axis around 2-4 pins.
+  for (int n = 0; n < devices / 2; ++n) {
+    const int lx = p.add_variable(-kInf, kInf, -1.0);
+    const int hx = p.add_variable(-kInf, kInf, 1.0);
+    const int ly = p.add_variable(-kInf, kInf, -1.0);
+    const int hy = p.add_variable(-kInf, kInf, 1.0);
+    for (int k = 2 + dev_d(rng) % 3; k > 0; --k) {
+      const int d = dev_d(rng);
+      const double off = 0.5 * (dev_d(rng) % 3 - 1);
+      p.add_constraint({{lx, 1}, {x[d], -1}}, Relation::LessEq, off);
+      p.add_constraint({{hx, 1}, {x[d], -1}}, Relation::GreaterEq, off);
+      p.add_constraint({{ly, 1}, {y[d], -1}}, Relation::LessEq, -off);
+      p.add_constraint({{hy, 1}, {y[d], -1}}, Relation::GreaterEq, -off);
+    }
+  }
+  return p;
+}
+
+TEST(LpOracleTest, SparseKernelMatchesDenseOracleOnRandomPrograms) {
+  std::mt19937_64 rng(20261017);
+  std::map<LpStatus, int> seen;
+  for (int trial = 0; trial < 400; ++trial) {
+    const bool integral = trial % 3 != 0;
+    const int n_vars = 2 + static_cast<int>(rng() % 14);
+    const int n_rows = static_cast<int>(rng() % 16);
+    const LpProblem p =
+        random_program(rng, n_vars, n_rows, /*max_terms=*/4, integral);
+    SimplexOptions opts;
+    // Every fifth program runs into a tiny iteration cap.
+    if (trial % 5 == 4) opts.max_iters = 1 + static_cast<long>(rng() % 6);
+    ++seen[expect_same_as_oracle(p, opts,
+                                 "random trial " + std::to_string(trial))];
+  }
+  // The corpus exercises every exit of the simplex.
+  for (const LpStatus st : {LpStatus::Optimal, LpStatus::Infeasible,
+                            LpStatus::Unbounded, LpStatus::IterLimit}) {
+    EXPECT_GT(seen[st], 0) << to_string(st);
+  }
+}
+
+TEST(LpOracleTest, SparseKernelMatchesDenseOracleOnDegeneratePrograms) {
+  // All-zero right-hand sides, and every finite bound moved to 0 (a boxed
+  // [lo, hi] becomes [0, hi - lo]): the origin is a degenerate vertex of
+  // every constraint row, so ratio-test ties and zero-step pivots abound.
+  std::mt19937_64 rng(5);
+  for (int trial = 0; trial < 60; ++trial) {
+    LpProblem p = random_program(rng, 6 + trial % 10, 12 + trial % 20,
+                                 /*max_terms=*/4, /*integral=*/true);
+    LpProblem q;
+    for (std::size_t j = 0; j < p.num_variables(); ++j) {
+      const int v = static_cast<int>(j);
+      const double lo = p.lower_bound(v), hi = p.upper_bound(v);
+      if (lo == -kInf) {
+        q.add_variable(-kInf, hi == kInf ? kInf : 0.0, p.cost(v));
+      } else {
+        q.add_variable(0.0, hi - lo, p.cost(v));
+      }
+    }
+    for (const LpConstraint& c : p.constraints()) {
+      q.add_constraint(c.terms, c.relation, 0.0);
+    }
+    expect_same_as_oracle(q, {}, "degenerate trial " + std::to_string(trial));
+  }
+}
+
+TEST(LpOracleTest, SparseKernelMatchesDenseOracleOnLegalizerPrograms) {
+  // From ~80 to ~730 tableau rows (constraints plus variable-bound rows) of
+  // 2-4 nonzeros each; the largest is the size of a VCO2 legalizer round.
+  std::mt19937_64 rng(77);
+  for (const int devices : {6, 12, 24, 40, 56}) {
+    const LpProblem p = legalizer_program(rng, devices);
+    const LpStatus st = expect_same_as_oracle(
+        p, {}, "legalizer devices=" + std::to_string(devices));
+    EXPECT_EQ(st, LpStatus::Optimal) << devices;
+  }
+}
+
+TEST(LpOracleTest, SparseKernelMatchesDenseOracleThroughBlandSwitch) {
+  // Beale's example cycles under Dantzig pricing with a lowest-index
+  // tie-break. The degeneracy streak then passes m + 50 pivots, pricing
+  // switches to Bland's rule, and the solve ends at the optimum -5/4.
+  LpProblem p;
+  const int x4 = p.add_variable(0, kInf, -0.75);
+  const int x5 = p.add_variable(0, kInf, 20.0);
+  const int x6 = p.add_variable(0, kInf, -0.5);
+  const int x7 = p.add_variable(0, kInf, 6.0);
+  p.add_constraint({{x4, 0.25}, {x5, -8}, {x6, -1}, {x7, 9}},
+                   Relation::LessEq, 0);
+  p.add_constraint({{x4, 0.5}, {x5, -12}, {x6, -0.5}, {x7, 3}},
+                   Relation::LessEq, 0);
+  p.add_constraint({{x6, 1}}, Relation::LessEq, 1);
+  ASSERT_EQ(expect_same_as_oracle(p, {}, "beale"), LpStatus::Optimal);
+  const LpSolution s = solve_lp(p);
+  EXPECT_GT(s.pivots, 3 + 50);
+  EXPECT_NEAR(s.objective, -1.25, 1e-12);
+}
+
+TEST(LpOracleTest, PivotCountIsReported) {
+  LpProblem p;
+  const int x = p.add_variable(0, kInf, -1.0);
+  const int y = p.add_variable(0, kInf, -1.0);
+  p.add_constraint({{x, 1}, {y, 2}}, Relation::LessEq, 4);
+  p.add_constraint({{x, 3}, {y, 1}}, Relation::LessEq, 6);
+  EXPECT_EQ(solve_lp(p).pivots, 2);
+  LpProblem unconstrained;
+  unconstrained.add_variable(0, kInf, 1.0);
+  EXPECT_EQ(solve_lp(unconstrained).pivots, 0);
 }
 
 }  // namespace
