@@ -46,7 +46,9 @@ std::vector<double> spread(const netlist::Circuit& c) {
 void BM_ElectroSolve(benchmark::State& state) {
   circuits::TestCase tc = circuits::make_testcase("CC-OTA");
   const auto bins = static_cast<std::size_t>(state.range(0));
-  density::ElectroDensity ed(tc.circuit, {0, 0, 16, 16}, bins, bins, 0.85);
+  density::ElectroDensity ed(
+      std::make_shared<const netlist::CompiledCircuit>(tc.circuit),
+      {0, 0, 16, 16}, bins, bins, 0.85);
   const std::vector<double> v = spread(tc.circuit);
   std::vector<double> g(v.size(), 0.0);
   for (auto _ : state) {
@@ -117,7 +119,8 @@ BENCHMARK(BM_SpectralSolveNaive)->Arg(64)->Arg(128)->Arg(256);
 
 void BM_WaWirelengthGrad(benchmark::State& state) {
   circuits::TestCase tc = circuits::make_testcase("SCF");
-  wirelength::WaWirelength wl(tc.circuit);
+  wirelength::WaWirelength wl(
+      std::make_shared<const netlist::CompiledCircuit>(tc.circuit));
   wl.set_gamma(1.0);
   const std::vector<double> v = spread(tc.circuit);
   std::vector<double> g(v.size(), 0.0);
@@ -180,7 +183,8 @@ BENCHMARK(BM_SequencePairPackNaive)->Arg(10)->Arg(30)->Arg(60);
 
 void BM_GnnForwardBackward(benchmark::State& state) {
   circuits::TestCase tc = circuits::make_testcase("CM-OTA2");
-  gnn::CircuitGraph graph(tc.circuit, 15.0);
+  gnn::CircuitGraph graph(
+      std::make_shared<const netlist::CompiledCircuit>(tc.circuit), 15.0);
   gnn::GnnModel model;
   numeric::Rng rng(2);
   model.initialize(rng);
@@ -245,18 +249,17 @@ void print_sa_kernel_table(bench::JsonReport& json) {
   // engines anneal different move counts, and the quick default (20k moves,
   // tens of ms) is timer-noise dominated.
   base.max_moves = bench::quick_mode() ? 150000 : 400000;
+  const auto cc = std::make_shared<const netlist::CompiledCircuit>(tc.circuit);
   const auto run_engine = [&](const char* flow, bool incremental) {
     sa::SaOptions o = base;
+    // The "before" side recomputes the full cost per move.
     o.incremental = incremental;
-    // The "before" side reproduces the seed kernel: naive O(n^2) pack plus
-    // full cost recompute per move.
-    o.naive_pack = !incremental;
     // Best of three: the anneal is deterministic for a fixed seed, so reps
     // agree on every metric except wall time; max moves/sec is the run
     // least disturbed by machine load.
-    sa::SaResult r = sa::SaPlacer(tc.circuit, o).place();
+    sa::SaResult r = sa::SaPlacer(cc, o).place();
     for (int rep = 1; rep < 3; ++rep) {
-      sa::SaResult again = sa::SaPlacer(tc.circuit, o).place();
+      sa::SaResult again = sa::SaPlacer(cc, o).place();
       if (again.moves_per_second > r.moves_per_second) r = std::move(again);
     }
     const netlist::QualityReport q = eval.evaluate(r.placement);
@@ -487,6 +490,7 @@ void print_simd_kernel_table(bench::JsonReport& json) {
     }
   }
   circuits::TestCase tc = circuits::make_testcase(largest);
+  const auto cc = std::make_shared<const netlist::CompiledCircuit>(tc.circuit);
   std::printf("\n==== SIMD kernels: scalar vs %s (%s, %zu devices) ====\n",
               simd::dispatch_name(), largest.c_str(), most);
   std::printf("%-12s %14s %14s %10s\n", "kernel", "scalar (us)", "simd (us)",
@@ -522,7 +526,7 @@ void print_simd_kernel_table(bench::JsonReport& json) {
 
   // WA wirelength value + gradient over the full circuit.
   {
-    wirelength::WaWirelength wl(tc.circuit);
+    wirelength::WaWirelength wl(cc);
     wl.set_gamma(1.0);
     std::vector<double> g(v.size(), 0.0);
     const auto once = [&] {
@@ -542,7 +546,7 @@ void print_simd_kernel_table(bench::JsonReport& json) {
   // bin columns, which is exactly the regime the 256x256 grids of the
   // production flows put the splat in.
   {
-    density::ElectroDensity ed(tc.circuit, {0, 0, 16, 16}, 256, 256, 0.85);
+    density::ElectroDensity ed(cc, {0, 0, 16, 16}, 256, 256, 0.85);
     const auto once = [&] { ed.build_density(v); };
     const int reps = bench::quick_mode() ? 30 : 100;
     ed.set_use_simd(false);

@@ -25,18 +25,19 @@ int main() {
   for (const char* name : {"VCO1", "Comp1", "SCF"}) {
     circuits::TestCase tc = circuits::make_testcase(name);
     const netlist::Circuit& c = tc.circuit;
+    const auto cc = std::make_shared<const netlist::CompiledCircuit>(c);
 
-    gp::EPlaceGlobalPlacer gpp(c, bench::paper_eplace_options().gp);
+    gp::EPlaceGlobalPlacer gpp(cc, bench::paper_eplace_options().gp);
     const gp::GpResult gpr = gpp.run();
 
     const auto t0 = Clock::now();
-    legal::TwoStageResult two = legal::TwoStageLpLegalizer(c).place(
-        gpr.positions);
+    legal::TwoStageResult two =
+        legal::TwoStageLpLegalizer(cc).place(gpr.positions);
     const double t_two = std::chrono::duration<double>(Clock::now() - t0)
                              .count();
 
     const auto t1 = Clock::now();
-    legal::IlpResult ilp = legal::IlpDetailedPlacer(c).place(gpr.positions);
+    legal::IlpResult ilp = legal::IlpDetailedPlacer(cc).place(gpr.positions);
     const double t_ilp = std::chrono::duration<double>(Clock::now() - t1)
                              .count();
 

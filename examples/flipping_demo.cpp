@@ -5,6 +5,7 @@
 //   $ ./flipping_demo
 
 #include <cstdio>
+#include <memory>
 
 #include "legal/ilp_detailed.hpp"
 #include "netlist/circuit.hpp"
@@ -42,8 +43,9 @@ int main() {
   without.enable_flipping = false;
 
   std::printf("Fig. 3 scenario: opposite-edge pins, one 2-pin net.\n");
-  show("no flipping", legal::IlpDetailedPlacer(c, without).place(start));
-  show("flipping", legal::IlpDetailedPlacer(c, with).place(start));
+  const auto cc = std::make_shared<const netlist::CompiledCircuit>(c);
+  show("no flipping", legal::IlpDetailedPlacer(cc, without).place(start));
+  show("flipping", legal::IlpDetailedPlacer(cc, with).place(start));
   std::printf("\nFlipping mirrors a device's pins about its center line, so\n"
               "the ILP can abut the connected pins instead of routing across\n"
               "the device (paper Sec. IV-B, constraint 4d).\n");

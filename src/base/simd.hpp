@@ -24,12 +24,11 @@
 //
 // Compile-time kill switch: -DAPLACE_SIMD=OFF (CMake) defines
 // APLACE_SIMD_DISABLED and forces the scalar backend everywhere. Runtime
-// default: simd::default_enabled() is true unless APLACE_SIMD=0/off is in
-// the environment; kernels expose per-instance setters on top of it.
+// default: simd::default_enabled() is true unless set_default_enabled(false)
+// was called; kernels expose per-instance setters on top of it.
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <cmath>
 
@@ -76,9 +75,8 @@ inline constexpr std::size_t kLanes = 4;
 }
 
 namespace detail {
-// -1 = not yet resolved from the environment; 0/1 = off/on.
-inline std::atomic<int>& default_flag() {
-  static std::atomic<int> flag{-1};
+inline std::atomic<bool>& default_flag() {
+  static std::atomic<bool> flag{true};
   return flag;
 }
 
@@ -94,27 +92,17 @@ alignas(32) inline constexpr std::uint64_t kKeepMask[5][4] = {
 };
 }  // namespace detail
 
-/// Runtime default for the kernels' use_simd flags: true unless the
-/// APLACE_SIMD environment variable is "0"/"off"/"OFF" or
+/// Runtime default for the kernels' use_simd flags: true unless
 /// set_default_enabled(false) was called. Engines sample this at
 /// construction; the per-instance set_use_simd() setters override it.
 [[nodiscard]] inline bool default_enabled() {
-  int v = detail::default_flag().load(std::memory_order_relaxed);
-  if (v < 0) {
-    const char* e = std::getenv("APLACE_SIMD");
-    const bool on =
-        e == nullptr || e[0] == '\0' ||
-        !(e[0] == '0' || e[0] == 'o' || e[0] == 'O');
-    v = on ? 1 : 0;
-    detail::default_flag().store(v, std::memory_order_relaxed);
-  }
-  return v == 1;
+  return detail::default_flag().load(std::memory_order_relaxed);
 }
 
 /// Override the process-wide default (tests pinning one path, e.g. the
 /// golden-quality regression runs the scalar reference on every build).
 inline void set_default_enabled(bool on) {
-  detail::default_flag().store(on ? 1 : 0, std::memory_order_relaxed);
+  detail::default_flag().store(on, std::memory_order_relaxed);
 }
 
 struct Vec4d {

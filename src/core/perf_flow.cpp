@@ -34,12 +34,24 @@ double coord_scale_of(const netlist::Circuit& c) {
   return std::sqrt(c.total_device_area() / 0.5);
 }
 
+// The context's snapshot, shared by every engine a perf flow builds.
+const std::shared_ptr<const netlist::CompiledCircuit>& snapshot_of(
+    const PerfContext& ctx, const netlist::Circuit& circuit) {
+  APLACE_CHECK_MSG(&ctx.compiled->circuit() == &circuit,
+                   "PerfContext was built for another circuit than '"
+                       << circuit.name() << "'");
+  return ctx.compiled;
+}
+
 }  // namespace
 
 std::unique_ptr<PerfContext> build_perf_context(
     const netlist::Circuit& circuit, const perf::PerformanceSpec& spec,
     DatasetOptions opts, gnn::TrainOptions train_opts) {
-  auto compiled = std::make_shared<const netlist::CompiledCircuit>(circuit);
+  // One snapshot for the whole set-up: the model, the graph, the samplers
+  // and the analytical sample run all fetch it from this cache.
+  auto cache = std::make_shared<CompileCache>();
+  const auto compiled = cache->get_or_compile(circuit);
   auto ctx = std::make_unique<PerfContext>(
       compiled, perf::PerformanceModel(compiled, spec),
       gnn::CircuitGraph(compiled, coord_scale_of(circuit)));
@@ -52,7 +64,7 @@ std::unique_ptr<PerfContext> build_perf_context(
   {
     sa::SaOptions sopts;
     sopts.seed = opts.seed;
-    sa::SaPlacer sampler(circuit, sopts);
+    sa::SaPlacer sampler(compiled, sopts);
     for (int k = 0; k < opts.random_samples; ++k) {
       placements.push_back(sampler.sample_random(rng));
     }
@@ -62,7 +74,7 @@ std::unique_ptr<PerfContext> build_perf_context(
     sopts.seed = opts.seed + 1000 + static_cast<std::uint64_t>(k);
     sopts.max_moves = opts.sa_moves_per_sample;
     sopts.area_weight = 0.25 + 0.5 * rng.uniform();
-    sa::SaPlacer sap(circuit, sopts);
+    sa::SaPlacer sap(compiled, sopts);
     placements.push_back(sap.place().placement);
   }
   if (opts.analytic_samples > 0) {
@@ -71,6 +83,7 @@ std::unique_ptr<PerfContext> build_perf_context(
     EPlaceAOptions eopts;
     eopts.candidates = 1;
     eopts.gp.num_starts = 1;
+    eopts.compile_cache = cache;
     const FlowResult base = run_eplace_a(circuit, eopts);
     const std::size_t n = circuit.num_devices();
     for (int k = 0; k < opts.analytic_samples; ++k) {
@@ -120,9 +133,7 @@ std::unique_ptr<PerfContext> build_perf_context(
 perf::PerformanceResult evaluate_routed(const PerfContext& ctx,
                                         const netlist::Placement& placement) {
   const route::GridRouter router;
-  const route::RoutingResult rr = ctx.compiled
-                                      ? router.route(*ctx.compiled, placement)
-                                      : router.route(placement);
+  const route::RoutingResult rr = router.route(*ctx.compiled, placement);
   return ctx.model.evaluate(placement, &rr);
 }
 
@@ -135,6 +146,7 @@ double gnn_phi(const PerfContext& ctx, const netlist::Placement& placement) {
 PerfFlowResult run_eplace_ap(const netlist::Circuit& circuit, PerfContext& ctx,
                              EPlaceAOptions opts) {
   APLACE_CHECK(opts.candidates >= 1);
+  const auto& compiled = snapshot_of(ctx, circuit);
   const netlist::Evaluator eval(circuit);
   PerfFlowResult best{FlowResult{netlist::Placement(circuit), {}, 0, 0, 0},
                       {}};
@@ -150,7 +162,7 @@ PerfFlowResult run_eplace_ap(const netlist::Circuit& circuit, PerfContext& ctx,
     gopts.seed = opts.gp.seed + 48ULL * static_cast<std::uint64_t>(k);
 
     const auto t0 = Clock::now();
-    gp::EPlaceGlobalPlacer placer(circuit, gopts);
+    gp::EPlaceGlobalPlacer placer(compiled, gopts);
     if (k > 0) {
       placer.set_extra_term(std::make_shared<gnn::PhiTerm>(ctx.graph, ctx.net));
     }
@@ -158,7 +170,7 @@ PerfFlowResult run_eplace_ap(const netlist::Circuit& circuit, PerfContext& ctx,
     const double gp_s = seconds_since(t0);
 
     const auto t1 = Clock::now();
-    const legal::IlpDetailedPlacer dp(circuit, opts.dp);
+    const legal::IlpDetailedPlacer dp(compiled, opts.dp);
     legal::IlpResult dpr = dp.place(gpr.positions);
     APLACE_CHECK_MSG(dpr.ok(), "ePlace-AP detailed placement failed on '"
                                    << circuit.name() << "'");
@@ -199,14 +211,15 @@ PerfFlowResult run_eplace_ap(const netlist::Circuit& circuit, PerfContext& ctx,
 
 PerfFlowResult run_prior_work_perf(const netlist::Circuit& circuit,
                                    PerfContext& ctx, PriorWorkOptions opts) {
+  const auto& compiled = snapshot_of(ctx, circuit);
   const auto t0 = Clock::now();
-  gp::PriorAnalyticalGlobalPlacer placer(circuit, opts.gp);
+  gp::PriorAnalyticalGlobalPlacer placer(compiled, opts.gp);
   placer.set_extra_term(std::make_shared<gnn::PhiTerm>(ctx.graph, ctx.net));
   gp::GpResult gpr = placer.run();
   const double gp_s = seconds_since(t0);
 
   const auto t1 = Clock::now();
-  const legal::TwoStageLpLegalizer dp(circuit, opts.dp);
+  const legal::TwoStageLpLegalizer dp(compiled, opts.dp);
   legal::TwoStageResult dpr = dp.place(gpr.positions);
   APLACE_CHECK_MSG(dpr.ok(), "Perf* detailed placement failed on '"
                                  << circuit.name() << "'");
@@ -227,7 +240,7 @@ PerfFlowResult run_sa_perf(const netlist::Circuit& circuit, PerfContext& ctx,
   sopts.extra_cost = [&ctx, alpha](const netlist::Placement& pl) {
     return alpha * gnn_phi(ctx, pl);
   };
-  sa::SaPlacer placer(circuit, sopts);
+  sa::SaPlacer placer(snapshot_of(ctx, circuit), sopts);
   sa::SaResult sar = placer.place();
   const double total = seconds_since(t0);
 

@@ -37,7 +37,8 @@ struct DatasetOptions {
 };
 
 struct PerfContext {
-  /// One compiled snapshot shared by the model, the graph and the router.
+  /// One compiled snapshot shared by the model, the router and every engine
+  /// the perf flows build for this circuit.
   std::shared_ptr<const netlist::CompiledCircuit> compiled;
   perf::PerformanceModel model;
   gnn::CircuitGraph graph;

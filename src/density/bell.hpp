@@ -26,17 +26,9 @@ namespace aplace::density {
 
 class BellDensity {
  public:
-  /// Borrow a compiled snapshot the caller keeps alive.
-  BellDensity(const netlist::CompiledCircuit& compiled,
-              const geom::Rect& region, std::size_t nx, std::size_t ny,
-              double target_density);
-  /// Share ownership of a compiled snapshot.
   BellDensity(std::shared_ptr<const netlist::CompiledCircuit> compiled,
               const geom::Rect& region, std::size_t nx, std::size_t ny,
               double target_density);
-  /// Convenience: compile privately from a raw circuit.
-  BellDensity(const netlist::Circuit& circuit, const geom::Rect& region,
-              std::size_t nx, std::size_t ny, double target_density);
 
   [[nodiscard]] const BinGrid& grid() const { return grid_; }
 
@@ -53,8 +45,7 @@ class BellDensity {
     std::size_t cx0, cx1, cy0, cy1;
   };
 
-  const netlist::CompiledCircuit* compiled_;
-  std::shared_ptr<const netlist::CompiledCircuit> keep_;
+  std::shared_ptr<const netlist::CompiledCircuit> compiled_;
   BinGrid grid_;
   double target_;
   // Device footprints, viewing the compiled snapshot's flat arrays.

@@ -120,10 +120,11 @@ ForceAcc force_simd(const BinGrid& grid, const numeric::Matrix& psi,
 
 }  // namespace
 
-ElectroDensity::ElectroDensity(const netlist::CompiledCircuit& compiled,
-                               const geom::Rect& region, std::size_t nx,
-                               std::size_t ny, double target_density)
-    : compiled_(&compiled),
+ElectroDensity::ElectroDensity(
+    std::shared_ptr<const netlist::CompiledCircuit> compiled,
+    const geom::Rect& region, std::size_t nx, std::size_t ny,
+    double target_density)
+    : compiled_(std::move(compiled)),
       grid_(region, nx, ny),
       target_(target_density),
       basis_x_(nx),
@@ -142,14 +143,14 @@ ElectroDensity::ElectroDensity(const netlist::CompiledCircuit& compiled,
   // here; footprints come from the compiled flat arrays.
   const double min_w = std::numbers::sqrt2 * grid_.bin_w();
   const double min_h = std::numbers::sqrt2 * grid_.bin_h();
-  devices_.reserve(compiled.num_devices());
-  for (std::size_t i = 0; i < compiled.num_devices(); ++i) {
+  devices_.reserve(compiled_->num_devices());
+  for (std::size_t i = 0; i < compiled_->num_devices(); ++i) {
     DeviceInfo info;
-    info.real_w = compiled.dev_width()[i];
-    info.real_h = compiled.dev_height()[i];
+    info.real_w = compiled_->dev_width()[i];
+    info.real_h = compiled_->dev_height()[i];
     info.w = std::max(info.real_w, min_w);
     info.h = std::max(info.real_h, min_h);
-    info.charge = compiled.dev_area()[i];
+    info.charge = compiled_->dev_area()[i];
     devices_.push_back(info);
   }
   // Per-chunk partials for the parallel splat (one chunk on the paper-scale
@@ -167,20 +168,6 @@ ElectroDensity::ElectroDensity(const netlist::CompiledCircuit& compiled,
     s.ovy.resize(padded4(ny));
   }
 }
-
-ElectroDensity::ElectroDensity(
-    std::shared_ptr<const netlist::CompiledCircuit> compiled,
-    const geom::Rect& region, std::size_t nx, std::size_t ny,
-    double target_density)
-    : ElectroDensity(*compiled, region, nx, ny, target_density) {
-  keep_ = std::move(compiled);
-}
-
-ElectroDensity::ElectroDensity(const netlist::Circuit& circuit,
-                               const geom::Rect& region, std::size_t nx,
-                               std::size_t ny, double target_density)
-    : ElectroDensity(std::make_shared<const netlist::CompiledCircuit>(circuit),
-                     region, nx, ny, target_density) {}
 
 geom::Point ElectroDensity::clamped_center(const geom::Point& c,
                                            const DeviceInfo& d) const {

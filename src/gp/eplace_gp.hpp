@@ -71,14 +71,8 @@ class EPlaceGlobalPlacer {
   using ExtraTerm = std::function<double(std::span<const double> v,
                                          std::span<double> grad)>;
 
-  /// Borrow a compiled snapshot the caller keeps alive.
-  EPlaceGlobalPlacer(const netlist::CompiledCircuit& compiled,
-                     EPlaceGpOptions opts);
-  /// Share ownership of a compiled snapshot (flow/batch cache path).
   EPlaceGlobalPlacer(std::shared_ptr<const netlist::CompiledCircuit> compiled,
                      EPlaceGpOptions opts);
-  /// Convenience: compile privately from a raw circuit.
-  EPlaceGlobalPlacer(const netlist::Circuit& circuit, EPlaceGpOptions opts);
 
   /// Extra objective term (returns its value, accumulates its gradient).
   /// Legacy functor hook; wrapped into a FunctionTerm named "extra".
@@ -97,9 +91,7 @@ class EPlaceGlobalPlacer {
   void build_objective();
   [[nodiscard]] GpResult run_single(std::uint64_t seed);
 
-  const netlist::Circuit* circuit_;
-  const netlist::CompiledCircuit* compiled_;
-  std::shared_ptr<const netlist::CompiledCircuit> keep_;
+  std::shared_ptr<const netlist::CompiledCircuit> compiled_;
   EPlaceGpOptions opts_;
   geom::Rect region_;
   std::unique_ptr<wirelength::SmoothWirelength> wl_owner_;

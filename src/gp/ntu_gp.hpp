@@ -46,16 +46,9 @@ class PriorAnalyticalGlobalPlacer {
   using ExtraTerm = std::function<double(std::span<const double> v,
                                          std::span<double> grad)>;
 
-  /// Borrow a compiled snapshot the caller keeps alive.
-  PriorAnalyticalGlobalPlacer(const netlist::CompiledCircuit& compiled,
-                              NtuGpOptions opts);
-  /// Share ownership of a compiled snapshot (flow/batch cache path).
   PriorAnalyticalGlobalPlacer(
       std::shared_ptr<const netlist::CompiledCircuit> compiled,
       NtuGpOptions opts);
-  /// Convenience: compile privately from a raw circuit.
-  PriorAnalyticalGlobalPlacer(const netlist::Circuit& circuit,
-                              NtuGpOptions opts);
 
   /// Used by the Perf* extension (paper Table V): adds alpha * Phi to the
   /// objective via its value and gradient. Legacy functor hook.
@@ -70,9 +63,7 @@ class PriorAnalyticalGlobalPlacer {
  private:
   void build_objective();
 
-  const netlist::Circuit* circuit_;
-  const netlist::CompiledCircuit* compiled_;
-  std::shared_ptr<const netlist::CompiledCircuit> keep_;
+  std::shared_ptr<const netlist::CompiledCircuit> compiled_;
   NtuGpOptions opts_;
   geom::Rect region_;
   wirelength::LseWirelength wl_;

@@ -43,18 +43,8 @@ double optimal_axis(std::span<const double> v,
 }  // namespace
 
 ConstraintPenalties::ConstraintPenalties(
-    const netlist::CompiledCircuit& compiled)
-    : compiled_(&compiled), n_(compiled.num_devices()) {}
-
-ConstraintPenalties::ConstraintPenalties(
     std::shared_ptr<const netlist::CompiledCircuit> compiled)
-    : ConstraintPenalties(*compiled) {
-  keep_ = std::move(compiled);
-}
-
-ConstraintPenalties::ConstraintPenalties(const netlist::Circuit& circuit)
-    : ConstraintPenalties(
-          std::make_shared<const netlist::CompiledCircuit>(circuit)) {}
+    : compiled_(std::move(compiled)), n_(compiled_->num_devices()) {}
 
 double ConstraintPenalties::symmetry(std::span<const double> v,
                                      std::span<double> grad,

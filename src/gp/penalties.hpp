@@ -24,13 +24,8 @@ namespace aplace::gp {
 
 class ConstraintPenalties {
  public:
-  /// Borrow a compiled snapshot the caller keeps alive.
-  explicit ConstraintPenalties(const netlist::CompiledCircuit& compiled);
-  /// Share ownership of a compiled snapshot.
   explicit ConstraintPenalties(
       std::shared_ptr<const netlist::CompiledCircuit> compiled);
-  /// Convenience: compile privately from a raw circuit.
-  explicit ConstraintPenalties(const netlist::Circuit& circuit);
 
   /// Each evaluates at v = (x.., y..), adds scale * gradient, returns value.
   double symmetry(std::span<const double> v, std::span<double> grad,
@@ -50,8 +45,7 @@ class ConstraintPenalties {
   void project_symmetry(std::span<double> v) const;
 
  private:
-  const netlist::CompiledCircuit* compiled_;
-  std::shared_ptr<const netlist::CompiledCircuit> keep_;
+  std::shared_ptr<const netlist::CompiledCircuit> compiled_;
   std::size_t n_;
 };
 

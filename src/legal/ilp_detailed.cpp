@@ -13,26 +13,15 @@ namespace aplace::legal {
 
 using netlist::Axis;
 
-IlpDetailedPlacer::IlpDetailedPlacer(const netlist::CompiledCircuit& compiled,
-                                     IlpOptions opts)
-    : circuit_(&compiled.circuit()), compiled_(&compiled), opts_(opts) {
+IlpDetailedPlacer::IlpDetailedPlacer(
+    std::shared_ptr<const netlist::CompiledCircuit> compiled, IlpOptions opts)
+    : compiled_(std::move(compiled)), opts_(opts) {
   APLACE_CHECK(opts.grid_pitch > 0);
   APLACE_CHECK(opts.utilization > 0 && opts.utilization <= 1.0);
 }
 
-IlpDetailedPlacer::IlpDetailedPlacer(
-    std::shared_ptr<const netlist::CompiledCircuit> compiled, IlpOptions opts)
-    : IlpDetailedPlacer(*compiled, opts) {
-  keep_ = std::move(compiled);
-}
-
-IlpDetailedPlacer::IlpDetailedPlacer(const netlist::Circuit& circuit,
-                                     IlpOptions opts)
-    : IlpDetailedPlacer(
-          std::make_shared<const netlist::CompiledCircuit>(circuit), opts) {}
-
 IlpResult IlpDetailedPlacer::place(std::span<const double> gp_positions) const {
-  const netlist::Circuit& c = *circuit_;
+  const netlist::Circuit& c = compiled_->circuit();
   const std::size_t n = c.num_devices();
   APLACE_CHECK(gp_positions.size() == 2 * n);
   const double gu = opts_.grid_pitch;  // um per grid unit
@@ -251,7 +240,7 @@ solver::MilpSolution IlpDetailedPlacer::solve_round(
     const std::vector<geom::Orientation>* fixed_flips, std::vector<int>& vx,
     std::vector<int>& vy, std::vector<int>& vfx, std::vector<int>& vfy,
     IlpResult& result, long max_nodes) const {
-  const netlist::Circuit& c = *circuit_;
+  const netlist::Circuit& c = compiled_->circuit();
   const netlist::CompiledCircuit& cc = *compiled_;
   const std::size_t n = cc.num_devices();
   const double gu = opts_.grid_pitch;
@@ -458,7 +447,7 @@ void IlpDetailedPlacer::finish_placement(const solver::MilpSolution& sol,
                                          const std::vector<int>& vfx,
                                          const std::vector<int>& vfy,
                                          IlpResult& result) const {
-  const netlist::Circuit& c = *circuit_;
+  const netlist::Circuit& c = compiled_->circuit();
   const std::size_t n = c.num_devices();
   const double gu = opts_.grid_pitch;
 

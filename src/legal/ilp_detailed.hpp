@@ -69,16 +69,9 @@ struct IlpResult {
 
 class IlpDetailedPlacer {
  public:
-  /// Borrow a compiled snapshot the caller keeps alive.
-  IlpDetailedPlacer(const netlist::CompiledCircuit& compiled,
-                    IlpOptions opts = {});
-  /// Share ownership of a compiled snapshot.
   explicit IlpDetailedPlacer(
       std::shared_ptr<const netlist::CompiledCircuit> compiled,
       IlpOptions opts = {});
-  /// Convenience: compile privately from a raw circuit.
-  explicit IlpDetailedPlacer(const netlist::Circuit& circuit,
-                             IlpOptions opts = {});
 
   /// Legalize + detail-place starting from GP device centers (x.., y..).
   [[nodiscard]] IlpResult place(std::span<const double> gp_positions) const;
@@ -97,9 +90,7 @@ class IlpDetailedPlacer {
                         const std::vector<int>& vfx,
                         const std::vector<int>& vfy, IlpResult& result) const;
 
-  const netlist::Circuit* circuit_;
-  const netlist::CompiledCircuit* compiled_;
-  std::shared_ptr<const netlist::CompiledCircuit> keep_;
+  std::shared_ptr<const netlist::CompiledCircuit> compiled_;
   IlpOptions opts_;
 };
 

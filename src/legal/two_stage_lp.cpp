@@ -123,27 +123,16 @@ Skeleton build_skeleton(const netlist::CompiledCircuit& cc,
 }  // namespace
 
 TwoStageLpLegalizer::TwoStageLpLegalizer(
-    const netlist::CompiledCircuit& compiled, TwoStageOptions opts)
-    : circuit_(&compiled.circuit()), compiled_(&compiled), opts_(opts) {
+    std::shared_ptr<const netlist::CompiledCircuit> compiled,
+    TwoStageOptions opts)
+    : compiled_(std::move(compiled)), opts_(opts) {
   APLACE_CHECK(opts.grid_pitch > 0);
   APLACE_CHECK(opts.area_slack >= 1.0);
 }
 
-TwoStageLpLegalizer::TwoStageLpLegalizer(
-    std::shared_ptr<const netlist::CompiledCircuit> compiled,
-    TwoStageOptions opts)
-    : TwoStageLpLegalizer(*compiled, opts) {
-  keep_ = std::move(compiled);
-}
-
-TwoStageLpLegalizer::TwoStageLpLegalizer(const netlist::Circuit& circuit,
-                                         TwoStageOptions opts)
-    : TwoStageLpLegalizer(
-          std::make_shared<const netlist::CompiledCircuit>(circuit), opts) {}
-
 TwoStageResult TwoStageLpLegalizer::place(
     std::span<const double> gp_positions) const {
-  const netlist::Circuit& c = *circuit_;
+  const netlist::Circuit& c = compiled_->circuit();
   const std::size_t n = c.num_devices();
   APLACE_CHECK(gp_positions.size() == 2 * n);
 
@@ -203,7 +192,7 @@ TwoStageResult TwoStageLpLegalizer::place(
 
 bool TwoStageLpLegalizer::run_stages(const std::vector<PairOrder>& orders,
                                      TwoStageResult& result) const {
-  const netlist::Circuit& c = *circuit_;
+  const netlist::Circuit& c = compiled_->circuit();
   const std::size_t n = c.num_devices();
   const double gu = opts_.grid_pitch;
 

@@ -56,16 +56,9 @@ struct TwoStageResult {
 
 class TwoStageLpLegalizer {
  public:
-  /// Borrow a compiled snapshot the caller keeps alive.
-  TwoStageLpLegalizer(const netlist::CompiledCircuit& compiled,
-                      TwoStageOptions opts = {});
-  /// Share ownership of a compiled snapshot.
   explicit TwoStageLpLegalizer(
       std::shared_ptr<const netlist::CompiledCircuit> compiled,
       TwoStageOptions opts = {});
-  /// Convenience: compile privately from a raw circuit.
-  explicit TwoStageLpLegalizer(const netlist::Circuit& circuit,
-                               TwoStageOptions opts = {});
 
   [[nodiscard]] TwoStageResult place(
       std::span<const double> gp_positions) const;
@@ -76,9 +69,7 @@ class TwoStageLpLegalizer {
   bool run_stages(const std::vector<PairOrder>& orders,
                   TwoStageResult& result) const;
 
-  const netlist::Circuit* circuit_;
-  const netlist::CompiledCircuit* compiled_;
-  std::shared_ptr<const netlist::CompiledCircuit> keep_;
+  std::shared_ptr<const netlist::CompiledCircuit> compiled_;
   TwoStageOptions opts_;
 };
 

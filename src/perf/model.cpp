@@ -4,24 +4,13 @@
 
 namespace aplace::perf {
 
-PerformanceModel::PerformanceModel(const netlist::CompiledCircuit& compiled,
-                                   PerformanceSpec spec)
-    : compiled_(&compiled), spec_(std::move(spec)) {
-  APLACE_CHECK_MSG(!spec_.metrics.empty(), "empty performance spec");
-  spec_.normalize_weights();
-}
-
 PerformanceModel::PerformanceModel(
     std::shared_ptr<const netlist::CompiledCircuit> compiled,
     PerformanceSpec spec)
-    : PerformanceModel(*compiled, std::move(spec)) {
-  keep_ = std::move(compiled);
+    : compiled_(std::move(compiled)), spec_(std::move(spec)) {
+  APLACE_CHECK_MSG(!spec_.metrics.empty(), "empty performance spec");
+  spec_.normalize_weights();
 }
-
-PerformanceModel::PerformanceModel(const netlist::Circuit& circuit,
-                                   PerformanceSpec spec)
-    : PerformanceModel(std::make_shared<const netlist::CompiledCircuit>(circuit),
-                       std::move(spec)) {}
 
 Features PerformanceModel::extract_features(
     const netlist::Placement& placement,

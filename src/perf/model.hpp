@@ -39,14 +39,8 @@ struct PerformanceResult {
 
 class PerformanceModel {
  public:
-  /// Borrow a compiled snapshot the caller keeps alive.
-  PerformanceModel(const netlist::CompiledCircuit& compiled,
-                   PerformanceSpec spec);
-  /// Share ownership of a compiled snapshot.
   PerformanceModel(std::shared_ptr<const netlist::CompiledCircuit> compiled,
                    PerformanceSpec spec);
-  /// Convenience: compile privately from a raw circuit.
-  PerformanceModel(const netlist::Circuit& circuit, PerformanceSpec spec);
 
   [[nodiscard]] const PerformanceSpec& spec() const { return spec_; }
 
@@ -63,8 +57,7 @@ class PerformanceModel {
   [[nodiscard]] PerformanceResult evaluate_features(const Features& f) const;
 
  private:
-  const netlist::CompiledCircuit* compiled_;
-  std::shared_ptr<const netlist::CompiledCircuit> keep_;
+  std::shared_ptr<const netlist::CompiledCircuit> compiled_;
   PerformanceSpec spec_;
 };
 

@@ -219,9 +219,4 @@ RoutingResult GridRouter::route(const netlist::CompiledCircuit& compiled,
   return result;
 }
 
-RoutingResult GridRouter::route(const netlist::Placement& placement) const {
-  const netlist::CompiledCircuit compiled(placement.circuit());
-  return route(compiled, placement);
-}
-
 }  // namespace aplace::route

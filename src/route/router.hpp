@@ -45,10 +45,6 @@ class GridRouter {
   [[nodiscard]] RoutingResult route(const netlist::CompiledCircuit& compiled,
                                     const netlist::Placement& placement) const;
 
-  /// Convenience: compile a private snapshot, then route. Prefer the
-  /// overload above when routing many placements of the same circuit.
-  [[nodiscard]] RoutingResult route(const netlist::Placement& placement) const;
-
  private:
   RouterOptions opts_;
 };

@@ -43,20 +43,20 @@ std::size_t draw_distinct(numeric::Rng& rng, std::size_t i,
 
 }  // namespace
 
-SaPlacer::SaPlacer(const netlist::CompiledCircuit& compiled, SaOptions options)
-    : circuit_(&compiled.circuit()),
-      compiled_(&compiled),
+SaPlacer::SaPlacer(std::shared_ptr<const netlist::CompiledCircuit> compiled,
+                   SaOptions options)
+    : compiled_(std::move(compiled)),
       opts_(std::move(options)),
-      eval_(compiled.circuit()),
-      engine_(compiled) {
-  const netlist::Circuit& circuit = compiled.circuit();
-  const std::size_t n = circuit.num_devices();
+      eval_(compiled_->circuit()),
+      engine_(compiled_) {
+  const std::size_t n = compiled_->num_devices();
   single_block_of_.assign(n, kNoBlock);
   device_orient_.assign(n, {});
 
   std::vector<char> in_island(n, 0);
-  for (const netlist::SymmetryGroup& g : circuit.constraints().symmetry_groups) {
-    islands_.emplace_back(circuit, g);
+  for (const netlist::SymmetryGroup& g :
+       circuit().constraints().symmetry_groups) {
+    islands_.emplace_back(circuit(), g);
     for (const Island::Member& m : islands_.back().members()) {
       in_island[m.device.index()] = 1;
     }
@@ -74,7 +74,7 @@ SaPlacer::SaPlacer(const netlist::CompiledCircuit& compiled, SaOptions options)
   }
   for (std::size_t s = 0; s < single_device_.size(); ++s) {
     const std::size_t b = islands_.size() + s;
-    const netlist::Device& d = circuit.device(single_device_[s]);
+    const netlist::Device& d = circuit().device(single_device_[s]);
     block_w_[b] = d.width;
     block_h_[b] = d.height;
     single_block_of_[single_device_[s].index()] = b;
@@ -82,16 +82,6 @@ SaPlacer::SaPlacer(const netlist::CompiledCircuit& compiled, SaOptions options)
   single_scratch_.resize(1);
   engine_.configure_blocks(block_members());
 }
-
-SaPlacer::SaPlacer(std::shared_ptr<const netlist::CompiledCircuit> compiled,
-                   SaOptions options)
-    : SaPlacer(*compiled, std::move(options)) {
-  keep_ = std::move(compiled);
-}
-
-SaPlacer::SaPlacer(const netlist::Circuit& circuit, SaOptions options)
-    : SaPlacer(std::make_shared<const netlist::CompiledCircuit>(circuit),
-               std::move(options)) {}
 
 std::vector<std::vector<Island::Member>> SaPlacer::block_members() const {
   std::vector<std::vector<Island::Member>> blocks(num_blocks());
@@ -113,11 +103,11 @@ void SaPlacer::reset_anneal_state() {
   // every place() call on this instance) starts from the pristine state —
   // previously a second run inherited the island permutations and flips the
   // first one ended in.
-  device_orient_.assign(circuit_->num_devices(), {});
+  device_orient_.assign(circuit().num_devices(), {});
   islands_.clear();
   for (const netlist::SymmetryGroup& g :
-       circuit_->constraints().symmetry_groups) {
-    islands_.emplace_back(*circuit_, g);
+       circuit().constraints().symmetry_groups) {
+    islands_.emplace_back(circuit(), g);
   }
 }
 
@@ -149,15 +139,15 @@ double SaPlacer::cost_of(const netlist::Placement& pl) const {
   const double hpwl = pl.total_hpwl();
   const double area = pl.layout_area();
   double penalty = 0;
-  for (const netlist::AlignmentPair& a : circuit_->constraints().alignments) {
+  for (const netlist::AlignmentPair& a : circuit().constraints().alignments) {
     penalty += eval_.alignment_residual(pl, a);
   }
   for (const netlist::OrderingConstraint& o :
-       circuit_->constraints().orderings) {
+       circuit().constraints().orderings) {
     penalty += eval_.ordering_residual(pl, o);
   }
   for (const netlist::CommonCentroidQuad& q :
-       circuit_->constraints().common_centroids) {
+       circuit().constraints().common_centroids) {
     penalty += eval_.centroid_residual(pl, q);
   }
   double cost = opts_.area_weight * area / area0_ +
@@ -176,10 +166,10 @@ netlist::Placement SaPlacer::sample_random(numeric::Rng& rng) {
   if (!sample_state_ready_) {
     sample_islands_.clear();
     for (const netlist::SymmetryGroup& g :
-         circuit_->constraints().symmetry_groups) {
-      sample_islands_.emplace_back(*circuit_, g);
+         circuit().constraints().symmetry_groups) {
+      sample_islands_.emplace_back(circuit(), g);
     }
-    sample_orient_.assign(circuit_->num_devices(), {});
+    sample_orient_.assign(circuit().num_devices(), {});
     sample_state_ready_ = true;
   }
 
@@ -201,7 +191,7 @@ netlist::Placement SaPlacer::sample_random(numeric::Rng& rng) {
               rng.uniform_int(0, static_cast<int>(island.num_rows()) - 1)));
     }
   }
-  netlist::Placement pl(*circuit_);
+  netlist::Placement pl(circuit());
   realize(sp.pack(block_w_, block_h_), sample_islands_, sample_orient_, pl);
   pl.normalize_to_origin();
   return pl;
@@ -221,7 +211,7 @@ SaResult SaPlacer::place() {
   auto run_one = [&](int c) {
     SaOptions chain_opts = opts_;
     chain_opts.num_chains = 1;
-    SaPlacer chain(*circuit_, std::move(chain_opts));
+    SaPlacer chain(compiled_, std::move(chain_opts));
     results[static_cast<std::size_t>(c)] =
         chain.run_chain(numeric::split_seed(opts_.seed, static_cast<std::uint64_t>(c)));
   };
@@ -327,14 +317,6 @@ void SaPlacer::undo_move(const Move& mv) {
   }
 }
 
-void SaPlacer::pack_current(SequencePair::Packing& out) const {
-  if (opts_.naive_pack) {
-    out = sp_.pack_naive(block_w_, block_h_);
-  } else {
-    sp_.pack_into(block_w_, block_h_, out);
-  }
-}
-
 void SaPlacer::stage_trial(const Move& mv) {
   // Flip and island-permutation moves (kinds 2-4) leave the sequence pair
   // and every block dimension unchanged — block dims are fixed at
@@ -344,7 +326,7 @@ void SaPlacer::stage_trial(const Move& mv) {
   // block's internals go dirty.
   const bool structural = mv.kind == 0 || mv.kind == 1;
   if (structural) {
-    pack_current(pack_trial_);
+    sp_.pack_into(block_w_, block_h_, pack_trial_);
     engine_.begin_trial(pack_trial_.x.data(), pack_trial_.y.data(),
                         pack_trial_.width, pack_trial_.height);
   } else {
@@ -385,9 +367,9 @@ SaResult SaPlacer::run_chain(std::uint64_t chain_seed) {
   const std::size_t nb = num_blocks();
   sp_ = SequencePair(nb);
   sp_.shuffle(rng);
-  pack_current(pack_);
+  sp_.pack_into(block_w_, block_h_, pack_);
 
-  netlist::Placement pl(*circuit_);
+  netlist::Placement pl(circuit());
   realize(pack_, pl);
   // Normalizers: initial state metrics (penalty scale = layout half-perimeter
   // so residuals in microns are comparable). The incremental engine's area
@@ -417,7 +399,7 @@ SaResult SaPlacer::run_chain(std::uint64_t chain_seed) {
   // 40-probe pool used to shrink whenever i == j came up; draw_distinct
   // keeps it full.
   std::vector<double> deltas;
-  netlist::Placement tmp(*circuit_);
+  netlist::Placement tmp(circuit());
   if (nb >= 2) {
     for (int k = 0; k < 40; ++k) {
       const std::size_t i = draw_index(rng, nb);
@@ -436,7 +418,7 @@ SaResult SaPlacer::run_chain(std::uint64_t chain_seed) {
         }
         engine_.rollback();
       } else {
-        pack_current(pack_trial_);
+        sp_.pack_into(block_w_, block_h_, pack_trial_);
         realize(pack_trial_, tmp);
         probe = cost_of(tmp);
       }
@@ -460,7 +442,7 @@ SaResult SaPlacer::run_chain(std::uint64_t chain_seed) {
   long moves = 0;
   long temp_steps = 0;
 
-  netlist::Placement trial(*circuit_);  // legacy-path scratch
+  netlist::Placement trial(circuit());  // legacy-path scratch
   while (temp > t_stop && !best.deadline_hit && !best.cancelled) {
     for (long m = 0; m < moves_per_temp; ++m) {
       if (opts_.max_moves > 0 && moves >= opts_.max_moves) break;
@@ -492,7 +474,7 @@ SaResult SaPlacer::run_chain(std::uint64_t chain_seed) {
           new_cost += opts_.extra_cost(engine_.trial_placement());
         }
       } else {
-        pack_current(pack_trial_);
+        sp_.pack_into(block_w_, block_h_, pack_trial_);
         realize(pack_trial_, trial);
         new_cost = cost_of(trial);
       }
@@ -552,9 +534,9 @@ double SaPlacer::verify_incremental(std::uint64_t seed, int steps) {
   const std::size_t nb = num_blocks();
   sp_ = SequencePair(nb);
   sp_.shuffle(rng);
-  pack_current(pack_);
+  sp_.pack_into(block_w_, block_h_, pack_);
 
-  netlist::Placement pl(*circuit_);
+  netlist::Placement pl(circuit());
   realize(pack_, pl);
   hpwl0_ = std::max(pl.total_hpwl(), 1e-9);
   area0_ = std::max(pack_.width * pack_.height, 1e-9);
@@ -565,7 +547,7 @@ double SaPlacer::verify_incremental(std::uint64_t seed, int steps) {
                 pack_.height);
 
   double max_dev = 0.0;
-  netlist::Placement chk(*circuit_);
+  netlist::Placement chk(circuit());
   for (int s = 0; s < steps; ++s) {
     const Move mv = propose_move(rng);
     if (mv.kind < 0) continue;
@@ -586,7 +568,7 @@ double SaPlacer::verify_incremental(std::uint64_t seed, int steps) {
     const double hp = chk.total_hpwl();
     max_dev =
         std::max(max_dev, std::abs(engine_.hpwl() - hp) / std::max(1.0, hp));
-    for (std::size_t d = 0; d < circuit_->num_devices(); ++d) {
+    for (std::size_t d = 0; d < circuit().num_devices(); ++d) {
       const geom::Point a = engine_.placement().position(DeviceId{d});
       const geom::Point b = chk.position(DeviceId{d});
       max_dev = std::max({max_dev, std::abs(a.x - b.x), std::abs(a.y - b.y)});

@@ -14,9 +14,9 @@
 // O(n log n) LCS packer, diffs block positions against the committed
 // packing, and re-evaluates only the nets/constraints of devices that
 // moved (IncrementalCost); trial placements are never materialized. The
-// pre-existing full-recompute path (naive O(n^2) pack + realize + whole
-// netlist cost) is kept behind SaOptions::incremental=false as the oracle
-// and the "before" side of the throughput benches.
+// pre-existing full-recompute path (realize + whole netlist cost per move)
+// is kept behind SaOptions::incremental=false as the oracle and the
+// "before" side of the throughput benches.
 
 #include <functional>
 #include <optional>
@@ -59,9 +59,6 @@ struct SaOptions {
   /// full recompute per move: realize a trial Placement and re-evaluate the
   /// whole netlist — the bench/test oracle.
   bool incremental = true;
-  /// Use the O(n^2) longest-path packer instead of the O(n log n) LCS
-  /// packer (bit-identical coordinates; kept for A/B benchmarking).
-  bool naive_pack = false;
 
   /// Optional extra cost term evaluated on candidate placements (already
   /// weighted by the caller). Used for performance-driven SA. With the
@@ -85,13 +82,8 @@ struct SaResult {
 
 class SaPlacer {
  public:
-  /// Borrow a compiled snapshot the caller keeps alive.
-  SaPlacer(const netlist::CompiledCircuit& compiled, SaOptions options);
-  /// Share ownership of a compiled snapshot.
   SaPlacer(std::shared_ptr<const netlist::CompiledCircuit> compiled,
            SaOptions options);
-  /// Convenience: compile privately from a raw circuit.
-  SaPlacer(const netlist::Circuit& circuit, SaOptions options);
 
   /// Run `num_chains` independent annealing chains from shuffled initial
   /// states; returns the best result found (see SaOptions::num_chains).
@@ -139,8 +131,6 @@ class SaPlacer {
   /// instead of burning the move budget.
   [[nodiscard]] Move propose_move(numeric::Rng& rng);
   void undo_move(const Move& mv);
-  /// Pack the current sequence pair into `out` honoring naive_pack.
-  void pack_current(SequencePair::Packing& out) const;
   /// Stage a proposed move on the engine: repack into `pack_trial_` for
   /// sequence moves and mark every block the repack translated (origin diff
   /// against `pack_`); flip/island moves skip the repack — the packing is
@@ -156,9 +146,11 @@ class SaPlacer {
                netlist::Placement& pl) const;
   [[nodiscard]] double cost_of(const netlist::Placement& pl) const;
 
-  const netlist::Circuit* circuit_;
-  const netlist::CompiledCircuit* compiled_;
-  std::shared_ptr<const netlist::CompiledCircuit> keep_;
+  [[nodiscard]] const netlist::Circuit& circuit() const {
+    return compiled_->circuit();
+  }
+
+  std::shared_ptr<const netlist::CompiledCircuit> compiled_;
   SaOptions opts_;
   netlist::Evaluator eval_;
 

@@ -12,29 +12,29 @@ constexpr std::uint32_t kUnstamped = std::numeric_limits<std::uint32_t>::max();
 
 }  // namespace
 
-IncrementalCost::IncrementalCost(const netlist::CompiledCircuit& compiled)
-    : circuit_(&compiled.circuit()),
-      compiled_(&compiled),
-      eval_(compiled.circuit()),
-      state_(compiled.circuit()),
-      trial_state_(compiled.circuit()) {
+IncrementalCost::IncrementalCost(
+    std::shared_ptr<const netlist::CompiledCircuit> compiled)
+    : compiled_(std::move(compiled)),
+      eval_(compiled_->circuit()),
+      state_(compiled_->circuit()),
+      trial_state_(compiled_->circuit()) {
   // Flatten the positional constraints once; the block adjacency comes with
   // configure_blocks() when the caller knows the block structure.
-  for (std::size_t k = 0; k < compiled.num_alignments(); ++k) {
+  for (std::size_t k = 0; k < compiled_->num_alignments(); ++k) {
     constraints_.push_back(ConstraintRef{ConstraintRef::Kind::Alignment,
                                          static_cast<std::uint32_t>(k)});
   }
-  for (std::size_t k = 0; k < compiled.num_orderings(); ++k) {
+  for (std::size_t k = 0; k < compiled_->num_orderings(); ++k) {
     constraints_.push_back(ConstraintRef{ConstraintRef::Kind::Ordering,
                                          static_cast<std::uint32_t>(k)});
   }
-  for (std::size_t k = 0; k < compiled.num_centroids(); ++k) {
+  for (std::size_t k = 0; k < compiled_->num_centroids(); ++k) {
     constraints_.push_back(ConstraintRef{ConstraintRef::Kind::Centroid,
                                          static_cast<std::uint32_t>(k)});
   }
 
-  const std::size_t n = compiled.num_devices();
-  const std::size_t num_nets = compiled.num_nets();
+  const std::size_t n = compiled_->num_devices();
+  const std::size_t num_nets = compiled_->num_nets();
   off_.assign(n, {});
   orient_.assign(n, {});
   block_of_.assign(n, 0);
@@ -48,27 +48,17 @@ IncrementalCost::IncrementalCost(const netlist::CompiledCircuit& compiled)
   cons_epoch_.assign(constraints_.size(), 0);
 
   // Hot-loop views straight into the compiled snapshot's flat arrays.
-  net_weight_ = compiled.net_weight();
-  dev_w_ = compiled.dev_width();
-  dev_h_ = compiled.dev_height();
-  dev_halfw_ = compiled.dev_half_width();
-  dev_halfh_ = compiled.dev_half_height();
+  net_weight_ = compiled_->net_weight();
+  dev_w_ = compiled_->dev_width();
+  dev_h_ = compiled_->dev_height();
+  dev_halfw_ = compiled_->dev_half_width();
+  dev_halfh_ = compiled_->dev_half_height();
 }
-
-IncrementalCost::IncrementalCost(
-    std::shared_ptr<const netlist::CompiledCircuit> compiled)
-    : IncrementalCost(*compiled) {
-  keep_ = std::move(compiled);
-}
-
-IncrementalCost::IncrementalCost(const netlist::Circuit& circuit)
-    : IncrementalCost(
-          std::make_shared<const netlist::CompiledCircuit>(circuit)) {}
 
 void IncrementalCost::configure_blocks(
     const std::vector<std::vector<Member>>& blocks) {
   num_blocks_ = blocks.size();
-  const std::size_t num_nets = circuit_->num_nets();
+  const std::size_t num_nets = compiled_->num_nets();
 
   // Device <-> block maps.
   block_dev_off_.assign(num_blocks_ + 1, 0);
@@ -80,7 +70,7 @@ void IncrementalCost::configure_blocks(
     }
     block_dev_off_[b + 1] = block_dev_.size();
   }
-  APLACE_DCHECK(block_dev_.size() == circuit_->num_devices());
+  APLACE_DCHECK(block_dev_.size() == compiled_->num_devices());
 
   // block -> incident nets (deduplicated, ascending net order per block).
   std::vector<std::uint32_t> stamp(num_nets, kUnstamped);
@@ -606,7 +596,7 @@ double IncrementalCost::full_cost() {
   const netlist::Placement& pl = placement();
   const double hpwl = pl.total_hpwl();
   double penalty = 0;
-  const netlist::ConstraintSet& cs = circuit_->constraints();
+  const netlist::ConstraintSet& cs = compiled_->circuit().constraints();
   for (const ConstraintRef& c : constraints_) {
     switch (c.kind) {
       case ConstraintRef::Kind::Alignment:

@@ -49,18 +49,11 @@ double wa_edge_extent(std::span<const double> centers,
 
 }  // namespace
 
-WaAreaTerm::WaAreaTerm(const netlist::CompiledCircuit& compiled)
-    : n_(compiled.num_devices()),
-      half_w_(compiled.dev_half_width()),
-      half_h_(compiled.dev_half_height()) {}
-
 WaAreaTerm::WaAreaTerm(std::shared_ptr<const netlist::CompiledCircuit> compiled)
-    : WaAreaTerm(*compiled) {
-  keep_ = std::move(compiled);
-}
-
-WaAreaTerm::WaAreaTerm(const netlist::Circuit& circuit)
-    : WaAreaTerm(std::make_shared<const netlist::CompiledCircuit>(circuit)) {}
+    : compiled_(std::move(compiled)),
+      n_(compiled_->num_devices()),
+      half_w_(compiled_->dev_half_width()),
+      half_h_(compiled_->dev_half_height()) {}
 
 double WaAreaTerm::value_and_grad(std::span<const double> v,
                                   std::span<double> grad, double scale) const {

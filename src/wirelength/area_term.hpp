@@ -16,12 +16,7 @@ namespace aplace::wirelength {
 
 class WaAreaTerm {
  public:
-  /// Borrow a compiled snapshot the caller keeps alive.
-  explicit WaAreaTerm(const netlist::CompiledCircuit& compiled);
-  /// Share ownership of a compiled snapshot.
   explicit WaAreaTerm(std::shared_ptr<const netlist::CompiledCircuit> compiled);
-  /// Convenience: compile privately from a raw circuit.
-  explicit WaAreaTerm(const netlist::Circuit& circuit);
 
   void set_gamma(double gamma) {
     APLACE_CHECK(gamma > 0);
@@ -37,10 +32,10 @@ class WaAreaTerm {
   [[nodiscard]] double exact_area(std::span<const double> v) const;
 
  private:
+  std::shared_ptr<const netlist::CompiledCircuit> compiled_;
   std::size_t n_;
   // Device half-extents, viewing the compiled snapshot's flat arrays.
   std::span<const double> half_w_, half_h_;
-  std::shared_ptr<const netlist::CompiledCircuit> keep_;
   // Per-axis edge-derivative scratch, hoisted so the optimizer hot loop
   // stays allocation-free (assign() below reuses the capacity).
   mutable std::vector<double> dx_, dy_;

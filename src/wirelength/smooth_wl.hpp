@@ -35,13 +35,8 @@ namespace aplace::wirelength {
 
 class SmoothWirelength {
  public:
-  /// Borrow a compiled snapshot the caller keeps alive.
-  explicit SmoothWirelength(const netlist::CompiledCircuit& compiled);
-  /// Share ownership of a compiled snapshot (flow/batch cache path).
   explicit SmoothWirelength(
       std::shared_ptr<const netlist::CompiledCircuit> compiled);
-  /// Convenience: compile privately from a raw circuit.
-  explicit SmoothWirelength(const netlist::Circuit& circuit);
   virtual ~SmoothWirelength() = default;
 
   /// Smoothing parameter gamma (um). Smaller = closer to exact HPWL but
@@ -91,8 +86,7 @@ class SmoothWirelength {
  private:
   static constexpr std::size_t kNetGrain = 128;
 
-  const netlist::CompiledCircuit* compiled_;
-  std::shared_ptr<const netlist::CompiledCircuit> keep_;
+  std::shared_ptr<const netlist::CompiledCircuit> compiled_;
   std::size_t max_net_pins_ = 0;
   bool use_simd_;
 

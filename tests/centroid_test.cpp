@@ -72,7 +72,7 @@ TEST(CentroidTest, EvaluatorResidual) {
 
 TEST(CentroidTest, PenaltyGradientMatchesFiniteDifference) {
   const netlist::Circuit c = quad_circuit();
-  const gp::ConstraintPenalties pen(c);
+  const gp::ConstraintPenalties pen(test::compile(c));
   std::vector<double> v{0.7, 3.1, 2.9, 1.2, 6.0, 1.1, 2.8, 0.9, 3.3, 1.0};
   std::vector<double> grad(v.size(), 0.0);
   pen.common_centroid(v, grad, 1.0);
@@ -92,7 +92,8 @@ TEST(CentroidTest, IlpSatisfiesExactly) {
   // Start from a rough cross arrangement with overlap.
   const std::vector<double> v{1.0, 2.6, 2.4, 0.8, 5.5,
                               1.0, 2.6, 0.9, 2.7, 1.0};
-  const legal::IlpResult r = legal::IlpDetailedPlacer(c).place(v);
+  const legal::IlpResult r =
+      legal::IlpDetailedPlacer(test::compile(c)).place(v);
   ASSERT_TRUE(r.ok());
   const netlist::QualityReport q = netlist::Evaluator(c).evaluate(r.placement);
   EXPECT_TRUE(q.legal(1e-6)) << "centroid=" << q.centroid_violation
@@ -104,7 +105,8 @@ TEST(CentroidTest, TwoStageSatisfiesExactly) {
   const netlist::Circuit c = quad_circuit();
   const std::vector<double> v{1.0, 2.6, 2.4, 0.8, 5.5,
                               1.0, 2.6, 0.9, 2.7, 1.0};
-  const legal::TwoStageResult r = legal::TwoStageLpLegalizer(c).place(v);
+  const legal::TwoStageResult r =
+      legal::TwoStageLpLegalizer(test::compile(c)).place(v);
   ASSERT_TRUE(r.ok());
   const netlist::QualityReport q = netlist::Evaluator(c).evaluate(r.placement);
   EXPECT_TRUE(q.legal(1e-6)) << "centroid=" << q.centroid_violation;

@@ -10,17 +10,58 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "circuits/testcases.hpp"
 #include "core/compile_cache.hpp"
+#include "density/bell.hpp"
+#include "density/electro.hpp"
+#include "gnn/graph.hpp"
+#include "gp/eplace_gp.hpp"
+#include "gp/ntu_gp.hpp"
+#include "gp/penalties.hpp"
+#include "legal/ilp_detailed.hpp"
+#include "legal/two_stage_lp.hpp"
 #include "netlist/compiled.hpp"
 #include "numeric/rng.hpp"
+#include "perf/model.hpp"
+#include "sa/annealer.hpp"
+#include "sa/incremental_cost.hpp"
+#include "wirelength/area_term.hpp"
+#include "wirelength/smooth_wl.hpp"
 
 namespace {
 
 using namespace aplace;
 using netlist::CompiledCircuit;
+
+// One constructor shape per engine: the shared compiled snapshot plus the
+// engine's own options. No engine borrows a snapshot or compiles a private
+// one from a Circuit, so none can hide a recompile from its caller.
+template <typename Engine, typename... Opts>
+constexpr bool kOneShape =
+    std::is_constructible_v<Engine, std::shared_ptr<const CompiledCircuit>,
+                            Opts...> &&
+    !std::is_constructible_v<Engine, const netlist::Circuit&, Opts...> &&
+    !std::is_constructible_v<Engine, const CompiledCircuit&, Opts...>;
+
+static_assert(kOneShape<wirelength::WaWirelength>);
+static_assert(kOneShape<wirelength::LseWirelength>);
+static_assert(kOneShape<wirelength::WaAreaTerm>);
+static_assert(kOneShape<density::ElectroDensity, geom::Rect, std::size_t,
+                        std::size_t, double>);
+static_assert(kOneShape<density::BellDensity, geom::Rect, std::size_t,
+                        std::size_t, double>);
+static_assert(kOneShape<gp::ConstraintPenalties>);
+static_assert(kOneShape<gp::EPlaceGlobalPlacer, gp::EPlaceGpOptions>);
+static_assert(kOneShape<gp::PriorAnalyticalGlobalPlacer, gp::NtuGpOptions>);
+static_assert(kOneShape<sa::IncrementalCost>);
+static_assert(kOneShape<sa::SaPlacer, sa::SaOptions>);
+static_assert(kOneShape<legal::IlpDetailedPlacer, legal::IlpOptions>);
+static_assert(kOneShape<legal::TwoStageLpLegalizer, legal::TwoStageOptions>);
+static_assert(kOneShape<perf::PerformanceModel, perf::PerformanceSpec>);
+static_assert(kOneShape<gnn::CircuitGraph, double>);
 
 class CompiledAllCircuitsTest : public ::testing::TestWithParam<std::string> {};
 

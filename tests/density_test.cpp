@@ -54,7 +54,7 @@ TEST(BinGridTest, SplatDropsOutsideArea) {
 
 TEST(ElectroTest, FieldPushesApart) {
   const netlist::Circuit c = test::two_device_circuit();
-  ElectroDensity ed(c, {0, 0, 16, 16}, 16, 16, 0.8);
+  ElectroDensity ed(test::compile(c), {0, 0, 16, 16}, 16, 16, 0.8);
   // Both devices near the center, side by side with overlap.
   std::vector<double> v{7.6, 8.4, 8.0, 8.0};
   std::vector<double> g(4, 0.0);
@@ -66,7 +66,7 @@ TEST(ElectroTest, FieldPushesApart) {
 
 TEST(ElectroTest, EnergyDropsWhenSpread) {
   const netlist::Circuit c = test::two_device_circuit();
-  ElectroDensity ed(c, {0, 0, 16, 16}, 16, 16, 0.8);
+  ElectroDensity ed(test::compile(c), {0, 0, 16, 16}, 16, 16, 0.8);
   std::vector<double> g(4, 0.0);
   const std::vector<double> vs{8, 8, 8, 8};
   const std::vector<double> vp{4, 12, 8, 8};
@@ -77,7 +77,7 @@ TEST(ElectroTest, EnergyDropsWhenSpread) {
 
 TEST(ElectroTest, OverflowMeasuresOverlapOnly) {
   const netlist::Circuit c = test::two_device_circuit();
-  ElectroDensity ed(c, {0, 0, 16, 16}, 16, 16, 0.8);
+  ElectroDensity ed(test::compile(c), {0, 0, 16, 16}, 16, 16, 0.8);
   std::vector<double> g(4, 0.0);
   // Disjoint placement: overflow ~ 0 (bins inside devices are exactly full).
   const std::vector<double> vp{4, 12, 8, 8};
@@ -94,7 +94,7 @@ TEST(ElectroTest, GradientRoughlyMatchesFiniteDifference) {
   // per-device averaging makes it an approximation; check direction and
   // magnitude within a loose factor.
   const netlist::Circuit c = test::two_device_circuit();
-  ElectroDensity ed(c, {0, 0, 16, 16}, 32, 32, 0.8);
+  ElectroDensity ed(test::compile(c), {0, 0, 16, 16}, 32, 32, 0.8);
   const std::vector<double> v{7.0, 9.0, 8.0, 8.2};
   std::vector<double> g(4, 0.0);
   ed.value_and_grad(v, g, 1.0);
@@ -119,7 +119,7 @@ TEST(ElectroTest, EscapedDeviceFeelsRestoringForce) {
   // overlap and silently feel no density force; the clamped lookup must
   // give it a nonzero gradient pointing back inside.
   const netlist::Circuit c = test::two_device_circuit();
-  ElectroDensity ed(c, {0, 0, 16, 16}, 16, 16, 0.8);
+  ElectroDensity ed(test::compile(c), {0, 0, 16, 16}, 16, 16, 0.8);
   // Device 0 escaped far left of the region, device 1 well inside.
   const std::vector<double> v{-6.0, 8.0, 8.0, 8.0};
   std::vector<double> g(4, 0.0);
@@ -143,7 +143,7 @@ TEST(ElectroTest, GradientMatchesFiniteDifferenceOnFftPath) {
   // test. Tolerances are loose for the same reason as above: the per-device
   // field averaging is an approximation of dN/dv.
   const netlist::Circuit c = test::two_device_circuit();
-  ElectroDensity ed(c, {0, 0, 16, 16}, 64, 64, 0.8);
+  ElectroDensity ed(test::compile(c), {0, 0, 16, 16}, 64, 64, 0.8);
   const std::vector<double> v{6.5, 9.5, 8.5, 7.5};
   std::vector<double> g(4, 0.0);
   ed.value_and_grad(v, g, 1.0);
@@ -191,7 +191,7 @@ TEST(BellDensityTest, PenaltyDropsWhenSpread) {
   // Needs bins fine enough that the bell-smoothed density can exceed a full
   // bin where the devices overlap (32 bins -> 0.5 um over 2-4 um devices).
   const netlist::Circuit c = test::two_device_circuit();
-  BellDensity bd(c, {0, 0, 16, 16}, 32, 32, 0.8);
+  BellDensity bd(test::compile(c), {0, 0, 16, 16}, 32, 32, 0.8);
   std::vector<double> g(4, 0.0);
   const std::vector<double> vs{8, 8, 8, 8};
   const std::vector<double> vp{4, 12, 8, 8};
@@ -202,7 +202,7 @@ TEST(BellDensityTest, PenaltyDropsWhenSpread) {
 
 TEST(BellDensityTest, GradientMatchesFiniteDifference) {
   const netlist::Circuit c = test::two_device_circuit();
-  BellDensity bd(c, {0, 0, 16, 16}, 16, 16, 0.8);
+  BellDensity bd(test::compile(c), {0, 0, 16, 16}, 16, 16, 0.8);
   const std::vector<double> v{7.2, 9.1, 7.9, 8.3};
   std::vector<double> g(4, 0.0);
   bd.value_and_grad(v, g, 1.0);

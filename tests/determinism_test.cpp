@@ -18,6 +18,7 @@
 #include "io/netlist_io.hpp"
 #include "obs/obs.hpp"
 #include "sa/annealer.hpp"
+#include "test_util.hpp"
 
 namespace {
 
@@ -120,8 +121,8 @@ TEST_F(DeterminismTest, SimdKernelsIdenticalAcrossThreadCounts) {
   // The SIMD kernels must honor the same thread-count contract as the
   // scalar ones: per-net/per-device work is independent and the
   // chunk-ordered reductions are untouched, so with SIMD explicitly ON the
-  // flow is bit-identical at 1/2/8 threads (regardless of the APLACE_SIMD
-  // environment this test process inherited).
+  // flow is bit-identical at 1/2/8 threads (regardless of the runtime
+  // default another test left behind).
   struct SimdOnGuard {
     bool saved = simd::default_enabled();
     SimdOnGuard() { simd::set_default_enabled(true); }
@@ -158,8 +159,9 @@ TEST_F(DeterminismTest, MultiChainSaBeatsOrMatchesSingleChain) {
   sa::SaOptions three = one;
   three.num_chains = 3;
 
-  const sa::SaResult r1 = sa::SaPlacer(tc.circuit, one).place();
-  const sa::SaResult r3 = sa::SaPlacer(tc.circuit, three).place();
+  const sa::SaResult r1 = sa::SaPlacer(test::compile(tc.circuit), one).place();
+  const sa::SaResult r3 =
+      sa::SaPlacer(test::compile(tc.circuit), three).place();
   EXPECT_LE(r3.cost, r1.cost);
 }
 

@@ -30,7 +30,7 @@ std::vector<double> grid_positions(const netlist::Circuit& c) {
 
 TEST(CircuitGraphTest, AdjacencyRowStochastic) {
   circuits::TestCase tc = circuits::make_testcase("Adder");
-  const CircuitGraph g(tc.circuit, 10.0);
+  const CircuitGraph g(test::compile(tc.circuit), 10.0);
   const numeric::Matrix& a = g.adjacency();
   ASSERT_EQ(a.rows(), tc.circuit.num_devices());
   for (std::size_t r = 0; r < a.rows(); ++r) {
@@ -46,14 +46,14 @@ TEST(CircuitGraphTest, AdjacencyRowStochastic) {
 
 TEST(CircuitGraphTest, ConnectedDevicesShareEdges) {
   const netlist::Circuit c = test::two_device_circuit();
-  const CircuitGraph g(c, 10.0);
+  const CircuitGraph g(test::compile(c), 10.0);
   EXPECT_GT(g.adjacency()(0, 1), 0.0);
   EXPECT_GT(g.adjacency()(1, 0), 0.0);
 }
 
 TEST(CircuitGraphTest, FeaturesCarryPositionsAndStatics) {
   circuits::TestCase tc = circuits::make_testcase("Adder");
-  const CircuitGraph g(tc.circuit, 10.0);
+  const CircuitGraph g(test::compile(tc.circuit), 10.0);
   const std::vector<double> v = grid_positions(tc.circuit);
   const numeric::Matrix f = g.features(v);
   ASSERT_EQ(f.cols(), kFeatureDim);
@@ -70,7 +70,7 @@ TEST(CircuitGraphTest, FeaturesCarryPositionsAndStatics) {
 
 TEST(GnnModelTest, ForwardInUnitInterval) {
   circuits::TestCase tc = circuits::make_testcase("Adder");
-  const CircuitGraph g(tc.circuit, 10.0);
+  const CircuitGraph g(test::compile(tc.circuit), 10.0);
   GnnModel model;
   numeric::Rng rng(3);
   model.initialize(rng);
@@ -95,7 +95,7 @@ TEST(GnnModelTest, ParameterRoundtrip) {
 
 TEST(GnnModelTest, WeightGradientMatchesFiniteDifference) {
   circuits::TestCase tc = circuits::make_testcase("Adder");
-  const CircuitGraph g(tc.circuit, 10.0);
+  const CircuitGraph g(test::compile(tc.circuit), 10.0);
   GnnModel model;
   numeric::Rng rng(7);
   model.initialize(rng);
@@ -130,7 +130,7 @@ TEST(GnnModelTest, WeightGradientMatchesFiniteDifference) {
 
 TEST(GnnModelTest, InputGradientMatchesFiniteDifference) {
   circuits::TestCase tc = circuits::make_testcase("Adder");
-  const CircuitGraph g(tc.circuit, 10.0);
+  const CircuitGraph g(test::compile(tc.circuit), 10.0);
   GnnModel model;
   numeric::Rng rng(11);
   model.initialize(rng);
@@ -162,7 +162,7 @@ TEST(TrainerTest, LearnsSeparableLabels) {
   // must learn this from coordinates.
   circuits::TestCase tc = circuits::make_testcase("Adder");
   const netlist::Circuit& c = tc.circuit;
-  const CircuitGraph g(c, 10.0);
+  const CircuitGraph g(test::compile(c), 10.0);
   const std::size_t n = c.num_devices();
 
   numeric::Rng rng(13);

@@ -31,7 +31,7 @@ class PenaltyGradientTest
 TEST_P(PenaltyGradientTest, MatchesFiniteDifference) {
   const std::string kind = GetParam();
   const netlist::Circuit c = test::constrained_circuit();
-  const ConstraintPenalties pen(c);
+  const ConstraintPenalties pen(test::compile(c));
   const std::vector<double> v = irregular_positions(c);
   const geom::Rect region{0.5, 0.5, 6.0, 5.0};  // forces boundary hinges on
 
@@ -62,7 +62,7 @@ INSTANTIATE_TEST_SUITE_P(Kinds, PenaltyGradientTest,
 
 TEST(PenaltiesTest, SymmetryZeroAtSymmetricState) {
   const netlist::Circuit c = test::constrained_circuit();
-  const ConstraintPenalties pen(c);
+  const ConstraintPenalties pen(test::compile(c));
   const std::size_t n = c.num_devices();
   std::vector<double> v(2 * n, 0.0);
   // A, B mirrored about x=5 at equal y; S centered.
@@ -79,7 +79,7 @@ TEST(PenaltiesTest, SymmetryZeroAtSymmetricState) {
 
 TEST(PenaltiesTest, ProjectionZeroesSymmetryPenalty) {
   const netlist::Circuit c = test::constrained_circuit();
-  const ConstraintPenalties pen(c);
+  const ConstraintPenalties pen(test::compile(c));
   std::vector<double> v = irregular_positions(c);
   std::vector<double> g(v.size(), 0.0);
   EXPECT_GT(pen.symmetry(v, g, 1.0), 0.0);
@@ -90,7 +90,7 @@ TEST(PenaltiesTest, ProjectionZeroesSymmetryPenalty) {
 
 TEST(PenaltiesTest, BoundaryZeroInside) {
   const netlist::Circuit c = test::constrained_circuit();
-  const ConstraintPenalties pen(c);
+  const ConstraintPenalties pen(test::compile(c));
   const std::size_t n = c.num_devices();
   std::vector<double> v(2 * n, 50.0);  // all well inside a huge region
   std::vector<double> g(2 * n, 0.0);
@@ -104,7 +104,7 @@ TEST(EPlaceGpTest, SpreadsAndKeepsDevicesNearRegion) {
   circuits::TestCase tc = circuits::make_testcase("CC-OTA");
   EPlaceGpOptions opts;
   opts.num_starts = 1;
-  EPlaceGlobalPlacer placer(tc.circuit, opts);
+  EPlaceGlobalPlacer placer(test::compile(tc.circuit), opts);
   const GpResult r = placer.run();
   ASSERT_EQ(r.positions.size(), 2 * tc.circuit.num_devices());
   EXPECT_GT(r.iterations, opts.min_iters);
@@ -128,8 +128,8 @@ TEST(EPlaceGpTest, DeterministicForSeed) {
   circuits::TestCase tc = circuits::make_testcase("Adder");
   EPlaceGpOptions opts;
   opts.num_starts = 1;
-  const GpResult a = EPlaceGlobalPlacer(tc.circuit, opts).run();
-  const GpResult b = EPlaceGlobalPlacer(tc.circuit, opts).run();
+  const GpResult a = EPlaceGlobalPlacer(test::compile(tc.circuit), opts).run();
+  const GpResult b = EPlaceGlobalPlacer(test::compile(tc.circuit), opts).run();
   ASSERT_EQ(a.positions.size(), b.positions.size());
   for (std::size_t i = 0; i < a.positions.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.positions[i], b.positions[i]);
@@ -141,9 +141,9 @@ TEST(EPlaceGpTest, HardSymmetryProducesExactMirrors) {
   EPlaceGpOptions opts;
   opts.num_starts = 1;
   opts.hard_symmetry = true;
-  EPlaceGlobalPlacer placer(tc.circuit, opts);
+  EPlaceGlobalPlacer placer(test::compile(tc.circuit), opts);
   const GpResult r = placer.run();
-  const ConstraintPenalties pen(tc.circuit);
+  const ConstraintPenalties pen(test::compile(tc.circuit));
   std::vector<double> g(r.positions.size(), 0.0);
   std::vector<double> v = r.positions;
   EXPECT_NEAR(pen.symmetry(v, g, 1.0), 0.0, 1e-9);
@@ -153,9 +153,9 @@ TEST(EPlaceGpTest, SoftSymmetryNearlySymmetric) {
   circuits::TestCase tc = circuits::make_testcase("CM-OTA1");
   EPlaceGpOptions opts;
   opts.num_starts = 1;
-  EPlaceGlobalPlacer placer(tc.circuit, opts);
+  EPlaceGlobalPlacer placer(test::compile(tc.circuit), opts);
   const GpResult r = placer.run();
-  const ConstraintPenalties pen(tc.circuit);
+  const ConstraintPenalties pen(test::compile(tc.circuit));
   std::vector<double> g(r.positions.size(), 0.0);
   std::vector<double> v = r.positions;
   // Soft constraints: small but not necessarily zero residual, relative to
@@ -170,7 +170,7 @@ TEST(EPlaceGpTest, ExtraTermReceivesCalls) {
   opts.num_starts = 1;
   opts.max_iters = 40;
   opts.min_iters = 10;
-  EPlaceGlobalPlacer placer(tc.circuit, opts);
+  EPlaceGlobalPlacer placer(test::compile(tc.circuit), opts);
   int calls = 0;
   placer.set_extra_term(
       [&](std::span<const double>, std::span<double>) {
@@ -186,7 +186,7 @@ TEST(EPlaceGpTest, LseSmoothingOptionRuns) {
   EPlaceGpOptions opts;
   opts.num_starts = 1;
   opts.smoothing = WlSmoothing::LogSumExp;
-  const GpResult r = EPlaceGlobalPlacer(tc.circuit, opts).run();
+  const GpResult r = EPlaceGlobalPlacer(test::compile(tc.circuit), opts).run();
   EXPECT_GT(r.hpwl, 0.0);
 }
 
@@ -195,7 +195,7 @@ TEST(EPlaceGpTest, LseSmoothingOptionRuns) {
 TEST(NtuGpTest, RunsAndReducesWirelength) {
   circuits::TestCase tc = circuits::make_testcase("CC-OTA");
   NtuGpOptions opts;
-  PriorAnalyticalGlobalPlacer placer(tc.circuit, opts);
+  PriorAnalyticalGlobalPlacer placer(test::compile(tc.circuit), opts);
   const GpResult r = placer.run();
   ASSERT_EQ(r.positions.size(), 2 * tc.circuit.num_devices());
   // Wirelength should beat a naive row placement by a wide margin.
@@ -211,8 +211,10 @@ TEST(NtuGpTest, RunsAndReducesWirelength) {
 
 TEST(NtuGpTest, Deterministic) {
   circuits::TestCase tc = circuits::make_testcase("Adder");
-  const GpResult a = PriorAnalyticalGlobalPlacer(tc.circuit, {}).run();
-  const GpResult b = PriorAnalyticalGlobalPlacer(tc.circuit, {}).run();
+  const GpResult a =
+      PriorAnalyticalGlobalPlacer(test::compile(tc.circuit), {}).run();
+  const GpResult b =
+      PriorAnalyticalGlobalPlacer(test::compile(tc.circuit), {}).run();
   for (std::size_t i = 0; i < a.positions.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.positions[i], b.positions[i]);
   }

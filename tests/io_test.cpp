@@ -18,7 +18,7 @@ namespace {
 netlist::Placement quick_placement(const netlist::Circuit& c) {
   sa::SaOptions opts;
   opts.max_moves = 2000;
-  return sa::SaPlacer(c, opts).place().placement;
+  return sa::SaPlacer(test::compile(c), opts).place().placement;
 }
 
 void expect_invalid(const Status& st, const std::string& needle) {

@@ -133,7 +133,7 @@ TEST(RelativeOrderTest, TransitiveReductionDropsImpliedEdges) {
 
 TEST(IlpDetailedTest, TwoDevicesCompactAndLegal) {
   const netlist::Circuit c = test::two_device_circuit();
-  const IlpDetailedPlacer dp(c);
+  const IlpDetailedPlacer dp(test::compile(c));
   const IlpResult r = dp.place(positions({2, 6}, {2, 2}));
   ASSERT_TRUE(r.ok());
   const netlist::QualityReport q = netlist::Evaluator(c).evaluate(r.placement);
@@ -159,8 +159,9 @@ TEST(IlpDetailedTest, FlippingReducesWirelength) {
   const std::vector<double> start = positions({2, 8}, {1, 1});
   IlpOptions with, without;
   without.enable_flipping = false;
-  const IlpResult rf = IlpDetailedPlacer(c, with).place(start);
-  const IlpResult rn = IlpDetailedPlacer(c, without).place(start);
+  const IlpResult rf = IlpDetailedPlacer(test::compile(c), with).place(start);
+  const IlpResult rn =
+      IlpDetailedPlacer(test::compile(c), without).place(start);
   ASSERT_TRUE(rf.ok());
   ASSERT_TRUE(rn.ok());
   const double hf = rf.placement.total_hpwl();
@@ -170,7 +171,7 @@ TEST(IlpDetailedTest, FlippingReducesWirelength) {
 
 TEST(IlpDetailedTest, HardSymmetryExactInResult) {
   const netlist::Circuit c = test::constrained_circuit();
-  const IlpDetailedPlacer dp(c);
+  const IlpDetailedPlacer dp(test::compile(c));
   // Roughly symmetric start.
   const IlpResult r =
       dp.place(positions({3, 7, 5, 1, 9}, {2, 2, 5, 8, 8}));
@@ -190,7 +191,7 @@ TEST(IlpDetailedTest, SnapsToGrid) {
   const netlist::Circuit c = test::two_device_circuit();
   IlpOptions opts;
   opts.grid_pitch = 0.5;
-  const IlpResult r = IlpDetailedPlacer(c, opts).place(
+  const IlpResult r = IlpDetailedPlacer(test::compile(c), opts).place(
       positions({2.13, 6.77}, {2.41, 2.02}));
   ASSERT_TRUE(r.ok());
   if (r.snapped) {
@@ -211,7 +212,7 @@ TEST(IlpDetailedTest, FullCircuitLegalFromSpreadStart) {
     v[i] = 3.0 * static_cast<double>(i % 5);
     v[n + i] = 3.0 * static_cast<double>(i / 5);
   }
-  const IlpResult r = IlpDetailedPlacer(c).place(v);
+  const IlpResult r = IlpDetailedPlacer(test::compile(c)).place(v);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(netlist::Evaluator(c).evaluate(r.placement).legal(1e-6));
 }
@@ -220,7 +221,7 @@ TEST(IlpDetailedTest, FullCircuitLegalFromSpreadStart) {
 
 TEST(TwoStageTest, LegalAndCompact) {
   const netlist::Circuit c = test::two_device_circuit();
-  const TwoStageLpLegalizer lg(c);
+  const TwoStageLpLegalizer lg(test::compile(c));
   const TwoStageResult r = lg.place(positions({2, 5}, {2, 2.5}));
   ASSERT_TRUE(r.ok());
   const netlist::QualityReport q = netlist::Evaluator(c).evaluate(r.placement);
@@ -237,14 +238,14 @@ TEST(TwoStageTest, ConstraintsSatisfiedOnFullCircuit) {
     v[i] = 2.5 * static_cast<double>(i % 6);
     v[n + i] = 2.5 * static_cast<double>(i / 6);
   }
-  const TwoStageResult r = TwoStageLpLegalizer(c).place(v);
+  const TwoStageResult r = TwoStageLpLegalizer(test::compile(c)).place(v);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(netlist::Evaluator(c).evaluate(r.placement).legal(1e-6));
 }
 
 TEST(TwoStageTest, StageOneSetsExtentCap) {
   const netlist::Circuit c = test::two_device_circuit();
-  const TwoStageLpLegalizer lg(c);
+  const TwoStageLpLegalizer lg(test::compile(c));
   const TwoStageResult r = lg.place(positions({2, 6}, {2, 2}));
   ASSERT_TRUE(r.ok());
   const geom::Rect bb = r.placement.bounding_box();
@@ -270,7 +271,8 @@ TEST_P(LegalizerPropertyTest, IlpLegalOnEveryCircuit) {
   const netlist::Circuit& c = tc.circuit;
   sa::SaOptions sopts;
   sopts.max_moves = 3000;
-  const netlist::Placement seed = sa::SaPlacer(c, sopts).place().placement;
+  const netlist::Placement seed =
+      sa::SaPlacer(test::compile(c), sopts).place().placement;
 
   const std::size_t n = c.num_devices();
   std::vector<double> v(2 * n);
@@ -281,7 +283,7 @@ TEST_P(LegalizerPropertyTest, IlpLegalOnEveryCircuit) {
     v[n + i] = p.y + rng.normal(0, 1.0);
   }
 
-  const IlpResult r = IlpDetailedPlacer(c).place(v);
+  const IlpResult r = IlpDetailedPlacer(test::compile(c)).place(v);
   ASSERT_TRUE(r.ok()) << GetParam();
   const netlist::QualityReport q = netlist::Evaluator(c).evaluate(r.placement);
   EXPECT_TRUE(q.legal(1e-6))
@@ -296,7 +298,8 @@ TEST_P(LegalizerPropertyTest, TwoStageLegalOnEveryCircuit) {
   sa::SaOptions sopts;
   sopts.max_moves = 3000;
   sopts.seed = 17;
-  const netlist::Placement seed = sa::SaPlacer(c, sopts).place().placement;
+  const netlist::Placement seed =
+      sa::SaPlacer(test::compile(c), sopts).place().placement;
 
   const std::size_t n = c.num_devices();
   std::vector<double> v(2 * n);
@@ -307,7 +310,7 @@ TEST_P(LegalizerPropertyTest, TwoStageLegalOnEveryCircuit) {
     v[n + i] = p.y + rng.normal(0, 1.0);
   }
 
-  const TwoStageResult r = TwoStageLpLegalizer(c).place(v);
+  const TwoStageResult r = TwoStageLpLegalizer(test::compile(c)).place(v);
   ASSERT_TRUE(r.ok()) << GetParam();
   EXPECT_TRUE(netlist::Evaluator(c).evaluate(r.placement).legal(1e-6))
       << GetParam();

@@ -16,13 +16,14 @@ netlist::Placement legal_placement(const netlist::Circuit& c) {
   // Quick legal placement via short SA.
   sa::SaOptions opts;
   opts.max_moves = 4000;
-  return sa::SaPlacer(c, opts).place().placement;
+  return sa::SaPlacer(test::compile(c), opts).place().placement;
 }
 
 TEST(RouterTest, RoutesEveryNet) {
   circuits::TestCase tc = circuits::make_testcase("CC-OTA");
   const netlist::Placement pl = legal_placement(tc.circuit);
-  const route::RoutingResult rr = route::GridRouter().route(pl);
+  const route::RoutingResult rr =
+      route::GridRouter().route(*test::compile(pl.circuit()), pl);
   ASSERT_EQ(rr.nets.size(), tc.circuit.num_nets());
   for (std::size_t e = 0; e < rr.nets.size(); ++e) {
     EXPECT_GT(rr.net_length(NetId{e}), 0.0)
@@ -38,7 +39,8 @@ TEST(RouterTest, RoutedLengthAtLeastGridHpwl) {
   const netlist::Placement pl = legal_placement(tc.circuit);
   route::RouterOptions opts;
   opts.pitch = 0.25;
-  const route::RoutingResult rr = route::GridRouter(opts).route(pl);
+  const route::RoutingResult rr =
+      route::GridRouter(opts).route(*test::compile(pl.circuit()), pl);
   for (std::size_t e = 0; e < rr.nets.size(); ++e) {
     const double hpwl = pl.net_hpwl(NetId{e});
     EXPECT_GE(rr.net_length(NetId{e}), hpwl - 4 * 0.25 - 1e-9)
@@ -49,8 +51,10 @@ TEST(RouterTest, RoutedLengthAtLeastGridHpwl) {
 TEST(RouterTest, Deterministic) {
   circuits::TestCase tc = circuits::make_testcase("VGA");
   const netlist::Placement pl = legal_placement(tc.circuit);
-  const route::RoutingResult a = route::GridRouter().route(pl);
-  const route::RoutingResult b = route::GridRouter().route(pl);
+  const route::RoutingResult a =
+      route::GridRouter().route(*test::compile(pl.circuit()), pl);
+  const route::RoutingResult b =
+      route::GridRouter().route(*test::compile(pl.circuit()), pl);
   EXPECT_DOUBLE_EQ(a.total_length, b.total_length);
 }
 
@@ -60,8 +64,10 @@ TEST(RouterTest, CongestionPenaltySpreadsRoutes) {
   route::RouterOptions congested, relaxed;
   congested.congestion_penalty = 2.0;
   relaxed.congestion_penalty = 0.0;
-  const auto rc = route::GridRouter(congested).route(pl);
-  const auto rr = route::GridRouter(relaxed).route(pl);
+  const auto rc =
+      route::GridRouter(congested).route(*test::compile(pl.circuit()), pl);
+  const auto rr =
+      route::GridRouter(relaxed).route(*test::compile(pl.circuit()), pl);
   EXPECT_LE(rr.total_length, rc.total_length + 1e-9)
       << "zero congestion cost yields shortest paths";
   EXPECT_LE(rc.max_edge_usage, rr.max_edge_usage + 1e-9);
@@ -97,7 +103,7 @@ TEST(PerfSpecTest, WeightNormalization) {
 
 TEST(PerfModelTest, FomInUnitInterval) {
   circuits::TestCase tc = circuits::make_testcase("CC-OTA");
-  const perf::PerformanceModel model(tc.circuit, tc.spec);
+  const perf::PerformanceModel model(test::compile(tc.circuit), tc.spec);
   const netlist::Placement pl = legal_placement(tc.circuit);
   const perf::PerformanceResult res = model.evaluate(pl);
   EXPECT_GT(res.fom, 0.0);
@@ -113,7 +119,7 @@ TEST(PerfModelTest, WorsePlacementWorseFom) {
   // Scaling all positions up stretches every net and pair separation, so
   // the FOM must not improve.
   circuits::TestCase tc = circuits::make_testcase("CM-OTA1");
-  const perf::PerformanceModel model(tc.circuit, tc.spec);
+  const perf::PerformanceModel model(test::compile(tc.circuit), tc.spec);
   netlist::Placement good = legal_placement(tc.circuit);
   netlist::Placement bad = good;
   for (std::size_t i = 0; i < tc.circuit.num_devices(); ++i) {
@@ -127,7 +133,7 @@ TEST(PerfModelTest, WorsePlacementWorseFom) {
 
 TEST(PerfModelTest, FeatureMonotonicity) {
   circuits::TestCase tc = circuits::make_testcase("VCO1");
-  const perf::PerformanceModel model(tc.circuit, tc.spec);
+  const perf::PerformanceModel model(test::compile(tc.circuit), tc.spec);
   perf::Features f{0.2, 0.3, 0.4, 0.1};
   perf::Features worse = f;
   worse.critical_len = 1.5;
@@ -137,9 +143,10 @@ TEST(PerfModelTest, FeatureMonotonicity) {
 
 TEST(PerfModelTest, RoutedFeaturesLongerThanHpwl) {
   circuits::TestCase tc = circuits::make_testcase("Comp2");
-  const perf::PerformanceModel model(tc.circuit, tc.spec);
+  const perf::PerformanceModel model(test::compile(tc.circuit), tc.spec);
   const netlist::Placement pl = legal_placement(tc.circuit);
-  const route::RoutingResult rr = route::GridRouter().route(pl);
+  const route::RoutingResult rr =
+      route::GridRouter().route(*test::compile(pl.circuit()), pl);
   const perf::Features unrouted = model.extract_features(pl, nullptr);
   const perf::Features routed = model.extract_features(pl, &rr);
   EXPECT_GE(routed.total_len, unrouted.total_len * 0.8)
@@ -157,7 +164,8 @@ TEST(RouterTest, WaypointsFormManhattanPaths) {
   const netlist::Placement pl = legal_placement(tc.circuit);
   route::RouterOptions opts;
   opts.pitch = 0.5;
-  const route::RoutingResult rr = route::GridRouter(opts).route(pl);
+  const route::RoutingResult rr =
+      route::GridRouter(opts).route(*test::compile(pl.circuit()), pl);
   for (const route::NetRoute& net : rr.nets) {
     for (std::size_t k = 1; k < net.waypoints.size(); ++k) {
       const geom::Point a = net.waypoints[k - 1];
@@ -185,7 +193,8 @@ TEST(RouterTest, CoincidentPinsYieldZeroLengthNet) {
   netlist::Placement pl(c);
   pl.set_position(a, {1, 1});
   pl.set_position(b, {3, 1});  // pins coincide at (2, 1)
-  const route::RoutingResult rr = route::GridRouter().route(pl);
+  const route::RoutingResult rr =
+      route::GridRouter().route(*test::compile(pl.circuit()), pl);
   EXPECT_NEAR(rr.total_length, 0.0, 1e-9);
 }
 
@@ -193,8 +202,8 @@ TEST(PerfModelTest, SensScaleMonotone) {
   circuits::TestCase tc = circuits::make_testcase("CC-OTA");
   perf::PerformanceSpec strong = tc.spec;
   strong.sens_scale *= 3.0;
-  const perf::PerformanceModel weak_model(tc.circuit, tc.spec);
-  const perf::PerformanceModel strong_model(tc.circuit, strong);
+  const perf::PerformanceModel weak_model(test::compile(tc.circuit), tc.spec);
+  const perf::PerformanceModel strong_model(test::compile(tc.circuit), strong);
   const perf::Features f{0.5, 0.5, 0.5, 0.5};
   EXPECT_LT(strong_model.evaluate_features(f).fom,
             weak_model.evaluate_features(f).fom);
@@ -202,7 +211,7 @@ TEST(PerfModelTest, SensScaleMonotone) {
 
 TEST(PerfModelTest, ZeroFeaturesGiveNominal) {
   circuits::TestCase tc = circuits::make_testcase("VGA");
-  const perf::PerformanceModel model(tc.circuit, tc.spec);
+  const perf::PerformanceModel model(test::compile(tc.circuit), tc.spec);
   const perf::PerformanceResult r = model.evaluate_features({});
   for (std::size_t m = 0; m < r.metrics.size(); ++m) {
     EXPECT_NEAR(r.metrics[m].value, tc.spec.metrics[m].base, 1e-12)
@@ -216,7 +225,7 @@ TEST(PerfModelTest, SubtractiveFormCanGoNegativeButNormalizedClamps) {
   netlist::Circuit c = test::two_device_circuit();
   perf::PerformanceSpec spec;
   spec.metrics.push_back(m);
-  const perf::PerformanceModel model(c, spec);
+  const perf::PerformanceModel model(test::compile(c), spec);
   const perf::PerformanceResult r =
       model.evaluate_features({2.0, 0, 0, 0});  // 70 - 200 = -130
   EXPECT_LT(r.metrics[0].value, 0.0);

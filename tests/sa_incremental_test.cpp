@@ -1,6 +1,6 @@
 // Incremental SA cost engine: property tests against from-scratch
-// recomputation on every circuit, LCS-vs-naive packer trajectory identity,
-// and the no-leaked-state contract of sample_random.
+// recomputation on every circuit and the no-leaked-state contract of
+// sample_random. The LCS-vs-naive packer identity is in sa_test.cpp.
 
 #include <gtest/gtest.h>
 
@@ -23,11 +23,12 @@ class IncrementalAllCircuitsTest
 // room only for delta-accumulation rounding.
 TEST_P(IncrementalAllCircuitsTest, MatchesFullRecomputeUnderRandomMoves) {
   circuits::TestCase tc = circuits::make_testcase(GetParam());
-  SaPlacer placer(tc.circuit, {});
+  SaPlacer placer(test::compile(tc.circuit), {});
   EXPECT_LE(placer.verify_incremental(101, 400), 1e-9);
   // A second run must be independent of the first (no leaked state).
   const double a = placer.verify_incremental(202, 200);
-  const double b = SaPlacer(tc.circuit, {}).verify_incremental(202, 200);
+  const double b =
+      SaPlacer(test::compile(tc.circuit), {}).verify_incremental(202, 200);
   EXPECT_DOUBLE_EQ(a, b);
 }
 
@@ -38,7 +39,7 @@ TEST_P(IncrementalAllCircuitsTest, AnnealerStaysLegal) {
   SaOptions opts;
   opts.seed = 31;
   opts.max_moves = 4000;
-  const SaResult r = SaPlacer(tc.circuit, opts).place();
+  const SaResult r = SaPlacer(test::compile(tc.circuit), opts).place();
   const netlist::QualityReport q =
       netlist::Evaluator(tc.circuit).evaluate(r.placement);
   EXPECT_TRUE(q.legal(1e-6)) << "overlap=" << q.overlap_area
@@ -62,26 +63,6 @@ INSTANTIATE_TEST_SUITE_P(AllCircuits, IncrementalAllCircuitsTest,
                            return n;
                          });
 
-// The LCS packer is bit-identical to the naive longest-path packer, so the
-// whole annealing trajectory — every cost, every accept decision, every RNG
-// draw — must coincide move for move.
-TEST(SaIncrementalTest, NaivePackFlagReproducesLcsTrajectory) {
-  circuits::TestCase tc = circuits::make_testcase("CM-OTA2");
-  SaOptions lcs;
-  lcs.seed = 17;
-  lcs.max_moves = 3000;
-  SaOptions naive = lcs;
-  naive.naive_pack = true;
-  const SaResult a = SaPlacer(tc.circuit, lcs).place();
-  const SaResult b = SaPlacer(tc.circuit, naive).place();
-  EXPECT_DOUBLE_EQ(a.cost, b.cost);
-  EXPECT_EQ(a.moves_accepted, b.moves_accepted);
-  for (std::size_t i = 0; i < tc.circuit.num_devices(); ++i) {
-    EXPECT_EQ(a.placement.position(DeviceId{i}),
-              b.placement.position(DeviceId{i}));
-  }
-}
-
 // Legacy full-recompute path still anneals to a legal, deterministic result
 // (it is the oracle side of the throughput benches).
 TEST(SaIncrementalTest, LegacyEngineStillWorks) {
@@ -90,8 +71,8 @@ TEST(SaIncrementalTest, LegacyEngineStillWorks) {
   opts.seed = 23;
   opts.max_moves = 3000;
   opts.incremental = false;
-  const SaResult a = SaPlacer(tc.circuit, opts).place();
-  const SaResult b = SaPlacer(tc.circuit, opts).place();
+  const SaResult a = SaPlacer(test::compile(tc.circuit), opts).place();
+  const SaResult b = SaPlacer(test::compile(tc.circuit), opts).place();
   EXPECT_DOUBLE_EQ(a.cost, b.cost);
   const netlist::QualityReport q =
       netlist::Evaluator(tc.circuit).evaluate(a.placement);
@@ -110,11 +91,11 @@ TEST(SaIncrementalTest, SampleRandomDoesNotPerturbAnnealing) {
   opts.seed = 7;
   opts.max_moves = 2000;
 
-  SaPlacer sampled(tc.circuit, opts);
+  SaPlacer sampled(test::compile(tc.circuit), opts);
   numeric::Rng rng(41);
   for (int k = 0; k < 8; ++k) (void)sampled.sample_random(rng);
   const SaResult after_sampling = sampled.place();
-  const SaResult fresh = SaPlacer(tc.circuit, opts).place();
+  const SaResult fresh = SaPlacer(test::compile(tc.circuit), opts).place();
   EXPECT_DOUBLE_EQ(after_sampling.cost, fresh.cost);
   for (std::size_t i = 0; i < tc.circuit.num_devices(); ++i) {
     EXPECT_EQ(after_sampling.placement.position(DeviceId{i}),
@@ -122,8 +103,8 @@ TEST(SaIncrementalTest, SampleRandomDoesNotPerturbAnnealing) {
   }
 
   // Sampling sequence is a function of the rng alone.
-  SaPlacer s1(tc.circuit, opts);
-  SaPlacer s2(tc.circuit, opts);
+  SaPlacer s1(test::compile(tc.circuit), opts);
+  SaPlacer s2(test::compile(tc.circuit), opts);
   numeric::Rng r1(77), r2(77);
   (void)s1.sample_random(r1);
   (void)s2.sample_random(r2);

@@ -77,8 +77,11 @@ TEST(SequencePairTest, PackingNeverOverlapsProperty) {
 TEST(SequencePairTest, LcsPackerMatchesNaiveBitForBit) {
   // The Tang-Wong LCS packer computes the same max/+ reductions over the
   // same operands as the naive longest-path packer, so coordinates must be
-  // bit-identical — not merely close — on random instances.
+  // bit-identical — not merely close — on random instances. The annealer
+  // packs every move into one reused Packing through pack_into, so that
+  // path is checked too, on one Packing across all trials and sizes.
   numeric::Rng rng(29);
+  SequencePair::Packing reused;
   for (int trial = 0; trial < 60; ++trial) {
     const std::size_t n = 1 + static_cast<std::size_t>(rng.uniform_int(0, 39));
     SequencePair sp(n);
@@ -96,6 +99,11 @@ TEST(SequencePairTest, LcsPackerMatchesNaiveBitForBit) {
       EXPECT_DOUBLE_EQ(fast.x[i], naive.x[i]) << "trial " << trial;
       EXPECT_DOUBLE_EQ(fast.y[i], naive.y[i]) << "trial " << trial;
     }
+    sp.pack_into(w, h, reused);
+    EXPECT_EQ(reused.width, naive.width) << "trial " << trial;
+    EXPECT_EQ(reused.height, naive.height) << "trial " << trial;
+    EXPECT_EQ(reused.x, naive.x) << "trial " << trial;
+    EXPECT_EQ(reused.y, naive.y) << "trial " << trial;
   }
 }
 
@@ -153,7 +161,7 @@ TEST(SaPlacerTest, ProducesLegalPlacement) {
   SaOptions opts;
   opts.seed = 5;
   opts.max_moves = 20000;
-  SaPlacer placer(tc.circuit, opts);
+  SaPlacer placer(test::compile(tc.circuit), opts);
   const SaResult r = placer.place();
   const netlist::QualityReport q =
       netlist::Evaluator(tc.circuit).evaluate(r.placement);
@@ -167,8 +175,8 @@ TEST(SaPlacerTest, DeterministicForSeed) {
   SaOptions opts;
   opts.seed = 11;
   opts.max_moves = 5000;
-  const SaResult a = SaPlacer(tc.circuit, opts).place();
-  const SaResult b = SaPlacer(tc.circuit, opts).place();
+  const SaResult a = SaPlacer(test::compile(tc.circuit), opts).place();
+  const SaResult b = SaPlacer(test::compile(tc.circuit), opts).place();
   EXPECT_DOUBLE_EQ(a.cost, b.cost);
   for (std::size_t i = 0; i < tc.circuit.num_devices(); ++i) {
     EXPECT_EQ(a.placement.position(DeviceId{i}),
@@ -182,8 +190,10 @@ TEST(SaPlacerTest, MoreBudgetDoesNotHurtMuch) {
   small.seed = large.seed = 3;
   small.max_moves = 2000;
   large.max_moves = 60000;
-  const double cost_small = SaPlacer(tc.circuit, small).place().cost;
-  const double cost_large = SaPlacer(tc.circuit, large).place().cost;
+  const double cost_small =
+      SaPlacer(test::compile(tc.circuit), small).place().cost;
+  const double cost_large =
+      SaPlacer(test::compile(tc.circuit), large).place().cost;
   EXPECT_LE(cost_large, cost_small * 1.05);
 }
 
@@ -191,7 +201,7 @@ TEST(SaPlacerTest, SymmetryHoldsExactlyViaIslands) {
   circuits::TestCase tc = circuits::make_testcase("Comp2");
   SaOptions opts;
   opts.max_moves = 10000;
-  const SaResult r = SaPlacer(tc.circuit, opts).place();
+  const SaResult r = SaPlacer(test::compile(tc.circuit), opts).place();
   const netlist::Evaluator ev(tc.circuit);
   for (const netlist::SymmetryGroup& g :
        tc.circuit.constraints().symmetry_groups) {
@@ -201,7 +211,7 @@ TEST(SaPlacerTest, SymmetryHoldsExactlyViaIslands) {
 
 TEST(SaPlacerTest, RandomSamplesAreLegalAndDiverse) {
   circuits::TestCase tc = circuits::make_testcase("VGA");
-  SaPlacer placer(tc.circuit, {});
+  SaPlacer placer(test::compile(tc.circuit), {});
   numeric::Rng rng(23);
   const netlist::Evaluator ev(tc.circuit);
   double first_area = -1;

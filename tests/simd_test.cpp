@@ -238,9 +238,9 @@ TEST_P(SimdKernelParityTest, WirelengthScalarVsSimd) {
   for (const bool lse : {false, true}) {
     std::unique_ptr<wirelength::SmoothWirelength> wl;
     if (lse) {
-      wl = std::make_unique<wirelength::LseWirelength>(c);
+      wl = std::make_unique<wirelength::LseWirelength>(test::compile(c));
     } else {
-      wl = std::make_unique<wirelength::WaWirelength>(c);
+      wl = std::make_unique<wirelength::WaWirelength>(test::compile(c));
     }
     wl->set_gamma(0.8);
 
@@ -263,7 +263,8 @@ TEST_P(SimdKernelParityTest, ElectroDensityScalarVsSimd) {
   const double extent = 64.0;
   const std::vector<double> v = registry_positions(c, extent);
 
-  density::ElectroDensity ed(c, {0, 0, extent, extent}, 64, 64, 0.8);
+  density::ElectroDensity ed(test::compile(c), {0, 0, extent, extent}, 64,
+                             64, 0.8);
 
   ed.set_use_simd(false);
   std::vector<double> g_scalar(v.size(), 0.0);
@@ -379,9 +380,9 @@ TEST(SimdOverflowTest, WirelengthFiniteAtMillionUnitSpread) {
   for (const bool lse : {false, true}) {
     std::unique_ptr<wirelength::SmoothWirelength> wl;
     if (lse) {
-      wl = std::make_unique<wirelength::LseWirelength>(c);
+      wl = std::make_unique<wirelength::LseWirelength>(test::compile(c));
     } else {
-      wl = std::make_unique<wirelength::WaWirelength>(c);
+      wl = std::make_unique<wirelength::WaWirelength>(test::compile(c));
     }
     wl->set_gamma(1.0);
 

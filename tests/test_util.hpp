@@ -2,12 +2,20 @@
 // Shared helpers for the test suite.
 
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "circuits/testcases.hpp"
 #include "netlist/circuit.hpp"
+#include "netlist/compiled.hpp"
 
 namespace aplace::test {
+
+/// Compile `c` into the shared snapshot every engine constructor takes.
+inline std::shared_ptr<const netlist::CompiledCircuit> compile(
+    const netlist::Circuit& c) {
+  return std::make_shared<const netlist::CompiledCircuit>(c);
+}
 
 /// Central finite-difference gradient of f at v.
 inline std::vector<double> numeric_gradient(

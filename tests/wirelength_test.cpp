@@ -44,7 +44,7 @@ TEST(WirelengthTest, ExactHpwlMatchesPlacement) {
   for (std::size_t i = 0; i < n; ++i) {
     pl.set_position(DeviceId{i}, {v[i], v[n + i]});
   }
-  wirelength::WaWirelength wl(c);
+  wirelength::WaWirelength wl(test::compile(c));
   EXPECT_NEAR(wl.exact_hpwl(v), pl.total_hpwl(), 1e-9);
 }
 
@@ -68,15 +68,15 @@ TEST(WirelengthTest, DegenerateNetsAreSkipped) {
   ref.finalize();
 
   const std::vector<double> v{0.0, 5.0, 1.0, 4.0};
-  wirelength::WaWirelength wl(c);
-  wirelength::WaWirelength wl_ref(ref);
+  wirelength::WaWirelength wl(test::compile(c));
+  wirelength::WaWirelength wl_ref(test::compile(ref));
   EXPECT_DOUBLE_EQ(wl.exact_hpwl(v), wl_ref.exact_hpwl(v));
 
   std::vector<double> g(4, 0.0), g_ref(4, 0.0);
   EXPECT_DOUBLE_EQ(wl.value_and_grad(v, g), wl_ref.value_and_grad(v, g_ref));
   for (int i = 0; i < 4; ++i) EXPECT_DOUBLE_EQ(g[i], g_ref[i]);
 
-  wirelength::LseWirelength lse(c);
+  wirelength::LseWirelength lse(test::compile(c));
   std::fill(g.begin(), g.end(), 0.0);
   EXPECT_TRUE(std::isfinite(lse.value_and_grad(v, g)));
 }
@@ -84,7 +84,7 @@ TEST(WirelengthTest, DegenerateNetsAreSkipped) {
 TEST(WirelengthTest, WaOverestimatesShrinkingWithGamma) {
   const netlist::Circuit c = test::two_device_circuit();
   std::vector<double> v = {0.0, 7.0, 0.0, 3.0};
-  wirelength::WaWirelength wl(c);
+  wirelength::WaWirelength wl(test::compile(c));
   const double exact = wl.exact_hpwl(v);
 
   std::vector<double> grad(4, 0.0);
@@ -104,7 +104,7 @@ TEST(WirelengthTest, WaOverestimatesShrinkingWithGamma) {
 TEST(WirelengthTest, LseOverestimatesShrinkingWithGamma) {
   const netlist::Circuit c = test::two_device_circuit();
   std::vector<double> v = {0.0, 7.0, 0.0, 3.0};
-  wirelength::LseWirelength wl(c);
+  wirelength::LseWirelength wl(test::compile(c));
   const double exact = wl.exact_hpwl(v);
 
   std::vector<double> grad(4, 0.0);
@@ -135,8 +135,8 @@ TEST(WirelengthTest, BothSmoothersConvergeWithGamma) {
     circuits::TestCase tc = circuits::make_testcase(name);
     const netlist::Circuit& c = tc.circuit;
     const std::vector<double> v = spread_positions(c);
-    wirelength::WaWirelength wa(c);
-    wirelength::LseWirelength lse(c);
+    wirelength::WaWirelength wa(test::compile(c));
+    wirelength::LseWirelength lse(test::compile(c));
     std::vector<double> g(v.size(), 0.0);
     const double exact = wa.exact_hpwl(v);
     double prev_wa = -1e300, prev_lse = 1e300;
@@ -172,9 +172,9 @@ TEST_P(SmoothWlGradientTest, MatchesFiniteDifference) {
 
   std::unique_ptr<wirelength::SmoothWirelength> wl;
   if (kind == "wa") {
-    wl = std::make_unique<wirelength::WaWirelength>(c);
+    wl = std::make_unique<wirelength::WaWirelength>(test::compile(c));
   } else {
-    wl = std::make_unique<wirelength::LseWirelength>(c);
+    wl = std::make_unique<wirelength::LseWirelength>(test::compile(c));
   }
   wl->set_gamma(gamma);
 
@@ -207,7 +207,7 @@ TEST(AreaTermTest, ExactAreaMatchesPlacementBbox) {
   for (std::size_t i = 0; i < n; ++i) {
     pl.set_position(DeviceId{i}, {v[i], v[n + i]});
   }
-  wirelength::WaAreaTerm area(c);
+  wirelength::WaAreaTerm area(test::compile(c));
   EXPECT_NEAR(area.exact_area(v), pl.layout_area(), 1e-9);
 }
 
@@ -215,7 +215,7 @@ TEST(AreaTermTest, GradientMatchesFiniteDifference) {
   circuits::TestCase tc = circuits::make_testcase("Adder");
   const netlist::Circuit& c = tc.circuit;
   const std::vector<double> v = spread_positions(c);
-  wirelength::WaAreaTerm area(c);
+  wirelength::WaAreaTerm area(test::compile(c));
   area.set_gamma(0.8);
 
   std::vector<double> grad(v.size(), 0.0);
@@ -234,7 +234,7 @@ TEST(AreaTermTest, GradientMatchesFiniteDifference) {
 TEST(AreaTermTest, SmoothedAreaApproachesExact) {
   circuits::TestCase tc = circuits::make_testcase("Adder");
   const std::vector<double> v = spread_positions(tc.circuit);
-  wirelength::WaAreaTerm area(tc.circuit);
+  wirelength::WaAreaTerm area(test::compile(tc.circuit));
   std::vector<double> g(v.size(), 0.0);
   area.set_gamma(0.05);
   const double smoothed = area.value_and_grad(v, g, 0.0);
