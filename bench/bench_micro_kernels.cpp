@@ -466,6 +466,19 @@ void print_compiled_core_table(bench::JsonReport& json) {
   }
 }
 
+// Engines take the path simd::default_enabled() names when they are
+// constructed: build one under a temporarily switched default.
+struct SimdDefault {
+  bool saved = simd::default_enabled();
+  explicit SimdDefault(bool on) { simd::set_default_enabled(on); }
+  ~SimdDefault() { simd::set_default_enabled(saved); }
+};
+template <class Make>
+auto make_with_simd(bool on, Make&& make) {
+  const SimdDefault scoped(on);
+  return make();
+}
+
 // Quick-mode SIMD kernel table: scalar reference vs. Vec4d path of the
 // three analytical hot kernels, each timed best-of-3 on the largest paper
 // circuit (docs/PERFORMANCE.md explains how to read the rows):
@@ -526,18 +539,20 @@ void print_simd_kernel_table(bench::JsonReport& json) {
 
   // WA wirelength value + gradient over the full circuit.
   {
-    wirelength::WaWirelength wl(cc);
-    wl.set_gamma(1.0);
+    const auto make_wl = [&] { return wirelength::WaWirelength(cc); };
+    wirelength::WaWirelength wl_scalar = make_with_simd(false, make_wl);
+    wirelength::WaWirelength wl_simd = make_with_simd(true, make_wl);
     std::vector<double> g(v.size(), 0.0);
-    const auto once = [&] {
-      std::fill(g.begin(), g.end(), 0.0);
-      sink += wl.value_and_grad(v, g);
-    };
     const int reps = bench::quick_mode() ? 300 : 1000;
-    wl.set_use_simd(false);
-    const double scalar_us = best_of3(reps, once);
-    wl.set_use_simd(true);
-    const double simd_us = best_of3(reps, once);
+    const auto time = [&](wirelength::WaWirelength& wl) {
+      wl.set_gamma(1.0);
+      return best_of3(reps, [&] {
+        std::fill(g.begin(), g.end(), 0.0);
+        sink += wl.value_and_grad(v, g);
+      });
+    };
+    const double scalar_us = time(wl_scalar);
+    const double simd_us = time(wl_simd);
     row("wa-grad", largest, scalar_us, simd_us);
   }
 
@@ -546,35 +561,39 @@ void print_simd_kernel_table(bench::JsonReport& json) {
   // bin columns, which is exactly the regime the 256x256 grids of the
   // production flows put the splat in.
   {
-    density::ElectroDensity ed(cc, {0, 0, 16, 16}, 256, 256, 0.85);
-    const auto once = [&] { ed.build_density(v); };
+    const auto make_ed = [&] {
+      return density::ElectroDensity(cc, {0, 0, 16, 16}, 256, 256, 0.85);
+    };
+    density::ElectroDensity ed_scalar = make_with_simd(false, make_ed);
+    density::ElectroDensity ed_simd = make_with_simd(true, make_ed);
     const int reps = bench::quick_mode() ? 30 : 100;
-    ed.set_use_simd(false);
-    const double scalar_us = best_of3(reps, once);
-    ed.set_use_simd(true);
-    const double simd_us = best_of3(reps, once);
+    const double scalar_us =
+        best_of3(reps, [&] { ed_scalar.build_density(v); });
+    const double simd_us = best_of3(reps, [&] { ed_simd.build_density(v); });
     row("splat", largest, scalar_us, simd_us);
   }
 
   // The Poisson solve's inner 1D transforms: forward DCT + both syntheses.
   {
     const std::size_t n = 256;
-    numeric::fft::FftPlan plan(n);
+    const auto make_plan = [n] { return numeric::fft::FftPlan(n); };
+    const numeric::fft::FftPlan plan_scalar = make_with_simd(false, make_plan);
+    const numeric::fft::FftPlan plan_simd = make_with_simd(true, make_plan);
     std::vector<double> in(n), spec(n), out(n);
     for (std::size_t i = 0; i < n; ++i) {
       in[i] = std::sin(0.7 * static_cast<double>(i));
     }
-    const auto once = [&] {
-      plan.dct2(in.data(), 1, spec.data(), 1);
-      plan.dct3(spec.data(), 1, out.data(), 1);
-      plan.dst3(spec.data(), 1, out.data(), 1);
-      sink += out[1];
-    };
     const int reps = bench::quick_mode() ? 2000 : 10000;
-    plan.set_use_simd(false);
-    const double scalar_us = best_of3(reps, once);
-    plan.set_use_simd(true);
-    const double simd_us = best_of3(reps, once);
+    const auto time = [&](const numeric::fft::FftPlan& plan) {
+      return best_of3(reps, [&] {
+        plan.dct2(in.data(), 1, spec.data(), 1);
+        plan.dct3(spec.data(), 1, out.data(), 1);
+        plan.dst3(spec.data(), 1, out.data(), 1);
+        sink += out[1];
+      });
+    };
+    const double scalar_us = time(plan_scalar);
+    const double simd_us = time(plan_simd);
     row("fft", "n=256", scalar_us, simd_us);
   }
   benchmark::DoNotOptimize(sink);

@@ -25,7 +25,7 @@
 // Compile-time kill switch: -DAPLACE_SIMD=OFF (CMake) defines
 // APLACE_SIMD_DISABLED and forces the scalar backend everywhere. Runtime
 // default: simd::default_enabled() is true unless set_default_enabled(false)
-// was called; kernels expose per-instance setters on top of it.
+// was called; each kernel engine reads it once, when it is constructed.
 
 #include <atomic>
 #include <cstdint>
@@ -92,9 +92,9 @@ alignas(32) inline constexpr std::uint64_t kKeepMask[5][4] = {
 };
 }  // namespace detail
 
-/// Runtime default for the kernels' use_simd flags: true unless
-/// set_default_enabled(false) was called. Engines sample this at
-/// construction; the per-instance set_use_simd() setters override it.
+/// Runtime default for the kernels' SIMD paths: true unless
+/// set_default_enabled(false) was called. Engines sample this once, when
+/// they are constructed.
 [[nodiscard]] inline bool default_enabled() {
   return detail::default_flag().load(std::memory_order_relaxed);
 }

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <string>
@@ -9,6 +10,8 @@
 #include <vector>
 
 #include "base/thread_pool.hpp"
+#include "core/perf_flow.hpp"
+#include "gnn/phi_term.hpp"
 #include "numeric/rng.hpp"
 #include "obs/metrics.hpp"
 
@@ -159,55 +162,130 @@ struct LegalizeOutcome {
   aplace::Status status{};  ///< Ok iff `placement` is legal
 };
 
-// The legalization fallback chain. Levels, in order:
-//   1. primary ILP (when `ilp` != nullptr)    -> FallbackLevel::None
-//   2. rounded LP relaxation (flipping off)   -> FallbackLevel::RoundedLp
-//   3. two-stage LP                           -> `two_stage_level`
-//   4. greedy shift                           -> FallbackLevel::GreedyShift
-// Every level runs behind a try/catch and its output is re-checked against
-// the evaluator (a solver claiming Optimal does not get a free pass). The
-// greedy level ignores the deadline on purpose: it is cheap and the chain
-// must end with an answer. When all levels fail the returned status carries
-// one trail note per failed level.
-LegalizeOutcome legalize_chain(
-    const std::shared_ptr<const netlist::CompiledCircuit>& compiled,
-    std::span<const double> positions, const legal::IlpOptions* ilp,
-    legal::TwoStageOptions two_opts, FallbackLevel two_stage_level,
-    const Deadline& deadline, const base::CancelToken& cancel,
-    const FaultInjection& inject) {
-  const netlist::Circuit& circuit = compiled->circuit();
+// What every level of the chain legalizes, and under which limits.
+struct ChainInput {
+  std::shared_ptr<const netlist::CompiledCircuit> compiled;
+  std::span<const double> positions;
+  Deadline deadline;
+  base::CancelToken cancel;
+};
+
+// One level of the legalization fallback chain. `run` fills `pl` and
+// returns the legalizer's status; `span_name` labels the level's span and
+// counters in the trace, `what` its trail message.
+struct ChainLevel {
+  FallbackLevel level;
+  const char* what;
+  const char* span_name;
+  bool injected_failure;
+  std::function<aplace::Status(const ChainInput&, netlist::Placement&)> run;
+};
+
+// The primary ILP, or with `rounded` its LP relaxation: flipping binaries
+// and the refine/reshape iterations dropped, so a single LP (plus the MILP
+// rounding fallback) decides the placement.
+ChainLevel ilp_level(legal::IlpOptions o, bool rounded, bool injected) {
+  if (rounded) {
+    o.enable_flipping = false;
+    o.refine_rounds = 1;
+    o.reshape_attempts = 0;
+  }
+  return {rounded ? FallbackLevel::RoundedLp : FallbackLevel::None,
+          rounded ? "rounded-LP legalization" : "ILP legalization",
+          rounded ? "legal/rounded-lp" : "legal/ilp", injected,
+          [o](const ChainInput& in, netlist::Placement& pl) mutable {
+            o.deadline = in.deadline;
+            o.cancel = in.cancel;
+            legal::IlpResult r =
+                legal::IlpDetailedPlacer(in.compiled, o).place(in.positions);
+            if (r.ok()) pl = std::move(r.placement);
+            return r.outcome;
+          }};
+}
+
+ChainLevel two_stage_level(FallbackLevel level, legal::TwoStageOptions o,
+                           bool injected) {
+  return {level, "two-stage LP legalization", "legal/two-stage-lp", injected,
+          [o](const ChainInput& in, netlist::Placement& pl) mutable {
+            o.deadline = in.deadline;
+            o.cancel = in.cancel;
+            legal::TwoStageResult r =
+                legal::TwoStageLpLegalizer(in.compiled, o).place(in.positions);
+            if (r.ok()) pl = std::move(r.placement);
+            return r.outcome;
+          }};
+}
+
+// The last resort ignores the deadline on purpose: it is cheap and the
+// chain must end with an answer.
+ChainLevel greedy_level() {
+  return {FallbackLevel::GreedyShift, "greedy-shift legalization",
+          "legal/greedy-shift", false,
+          [](const ChainInput& in, netlist::Placement& pl) {
+            legal::GreedyShiftResult r =
+                legal::GreedyShiftLegalizer(in.compiled->circuit())
+                    .place(in.positions);
+            pl = std::move(r.placement);  // best-effort iterate on failure
+            return r.outcome;
+          }};
+}
+
+// ePlace-A: ILP -> rounded LP -> two-stage LP -> greedy shift.
+std::vector<ChainLevel> eplace_chain(const legal::IlpOptions& dp,
+                                     const FaultInjection& inject) {
+  return {ilp_level(dp, false, inject.fail_primary_dp),
+          ilp_level(dp, true, inject.fail_rounded_lp),
+          two_stage_level(FallbackLevel::TwoStageLp, {},
+                          inject.fail_two_stage),
+          greedy_level()};
+}
+
+// Prior work and SA repair: two-stage LP -> greedy shift. The two-stage LP
+// is the prior-work flow's *primary* legalizer (FallbackLevel None), so
+// fail_primary_dp forces it to fail there and in SA repair alike, keeping
+// the injection knob uniform across flows.
+std::vector<ChainLevel> two_stage_chain(FallbackLevel two_stage,
+                                        const legal::TwoStageOptions& dp,
+                                        const FaultInjection& inject) {
+  return {two_stage_level(two_stage, dp,
+                          inject.fail_two_stage || inject.fail_primary_dp),
+          greedy_level()};
+}
+
+// The legalization fallback chain: run `levels` in order until one
+// delivers a legal placement. Every level runs behind a try/catch and its
+// output is re-checked against the evaluator (a solver claiming Optimal
+// does not get a free pass). Cancellation stops the chain between levels.
+// When all levels fail the returned status carries one trail note per
+// failed level.
+LegalizeOutcome legalize_chain(const ChainInput& in,
+                               const std::vector<ChainLevel>& levels) {
+  const netlist::Circuit& circuit = in.compiled->circuit();
   LegalizeOutcome out{netlist::Placement(circuit)};
   const netlist::Evaluator eval(circuit);
   std::vector<std::string> failures;
 
-  // Cancellation stops the chain between levels: unlike an expired deadline
-  // (where the cheap greedy level still delivers an answer), a cancelled
-  // batch wants its threads back, and the journal re-runs the job anyway.
-  auto cancelled_out = [&]() {
-    out.status = aplace::Status::cancelled(
-        "legalization cancelled before the chain finished");
-    for (std::string& f : failures) out.status.add_context(std::move(f));
-    return std::move(out);
-  };
-  if (cancel.cancelled()) return cancelled_out();
-
-  // Run one level: `attempt` returns a Status and fills `pl` on success.
-  // Returns true when the level delivered a *legal* placement.
-  // `span_name` labels the level's span and counters in the trace.
-  auto attempt_level = [&](FallbackLevel level, const char* what,
-                           const char* span_name, bool injected_failure,
-                           auto&& attempt) {
-    if (injected_failure) {
-      failures.push_back(std::string(what) +
-                         ": infeasible: fault injection forced failure");
-      return false;
+  for (const ChainLevel& lv : levels) {
+    // Unlike an expired deadline (where the cheap greedy level still
+    // delivers an answer), a cancelled batch wants its threads back, and
+    // the journal re-runs the job anyway.
+    if (in.cancel.cancelled()) {
+      out.status = aplace::Status::cancelled(
+          "legalization cancelled before the chain finished");
+      for (std::string& f : failures) out.status.add_context(std::move(f));
+      return out;
     }
-    obs::Span span(span_name);
+    if (lv.injected_failure) {
+      failures.push_back(std::string(lv.what) +
+                         ": infeasible: fault injection forced failure");
+      continue;
+    }
+    obs::Span span(lv.span_name);
     obs::counter("legal/attempts").inc();
     netlist::Placement pl(circuit);
     aplace::Status s;
     try {
-      s = attempt(pl);
+      s = lv.run(in, pl);
     } catch (const aplace::CheckError& e) {
       s = aplace::Status::internal(std::string("check failure: ") + e.what());
     } catch (const std::exception& e) {
@@ -218,84 +296,269 @@ LegalizeOutcome legalize_chain(
           "solver reported success but the placement violates constraints");
     }
     if (s.ok()) {
-      obs::counter(std::string(span_name) + "/success").inc();
+      obs::counter(std::string(lv.span_name) + "/success").inc();
       out.placement = std::move(pl);
-      out.level = level;
-      return true;
+      out.level = lv.level;
+      return out;
     }
     // Keep the latest failed attempt for diagnostics (the greedy level's
     // best-effort iterate when everything fails).
-    obs::counter(std::string(span_name) + "/failed").inc();
+    obs::counter(std::string(lv.span_name) + "/failed").inc();
     out.placement = std::move(pl);
-    failures.push_back(std::string(what) + ": " + s.to_string());
-    return false;
-  };
-
-  if (ilp != nullptr) {
-    const bool primary_ok = attempt_level(
-        FallbackLevel::None, "ILP legalization", "legal/ilp",
-        inject.fail_primary_dp, [&](netlist::Placement& pl) {
-          legal::IlpOptions o = *ilp;
-          o.deadline = deadline;
-          o.cancel = cancel;
-          legal::IlpResult r =
-              legal::IlpDetailedPlacer(compiled, o).place(positions);
-          if (r.ok()) pl = std::move(r.placement);
-          return r.outcome;
-        });
-    if (primary_ok) return out;
-    if (cancel.cancelled()) return cancelled_out();
-
-    const bool rounded_ok = attempt_level(
-        FallbackLevel::RoundedLp, "rounded-LP legalization",
-        "legal/rounded-lp", inject.fail_rounded_lp,
-        [&](netlist::Placement& pl) {
-          // Rounded LP relaxation: drop the flipping binaries and the
-          // refine/reshape iterations so a single LP (plus the MILP
-          // rounding fallback) decides the placement.
-          legal::IlpOptions o = *ilp;
-          o.deadline = deadline;
-          o.cancel = cancel;
-          o.enable_flipping = false;
-          o.refine_rounds = 1;
-          o.reshape_attempts = 0;
-          legal::IlpResult r =
-              legal::IlpDetailedPlacer(compiled, o).place(positions);
-          if (r.ok()) pl = std::move(r.placement);
-          return r.outcome;
-        });
-    if (rounded_ok) return out;
-    if (cancel.cancelled()) return cancelled_out();
+    failures.push_back(std::string(lv.what) + ": " + s.to_string());
   }
-
-  const bool two_ok = attempt_level(
-      two_stage_level, "two-stage LP legalization", "legal/two-stage-lp",
-      inject.fail_two_stage, [&](netlist::Placement& pl) {
-        two_opts.deadline = deadline;
-        two_opts.cancel = cancel;
-        legal::TwoStageResult r =
-            legal::TwoStageLpLegalizer(compiled, two_opts).place(positions);
-        if (r.ok()) pl = std::move(r.placement);
-        return r.outcome;
-      });
-  if (two_ok) return out;
-  if (cancel.cancelled()) return cancelled_out();
-
-  const bool greedy_ok = attempt_level(
-      FallbackLevel::GreedyShift, "greedy-shift legalization",
-      "legal/greedy-shift", false, [&](netlist::Placement& pl) {
-        legal::GreedyShiftResult r =
-            legal::GreedyShiftLegalizer(circuit).place(positions);
-        pl = std::move(r.placement);  // best-effort iterate even on failure
-        return r.outcome;
-      });
-  if (greedy_ok) return out;
-
-  out.level = FallbackLevel::GreedyShift;
+  out.level = levels.back().level;
   out.status = aplace::Status::infeasible(
       "no legalization level produced a legal placement for '" +
       circuit.name() + "'");
   for (std::string& f : failures) out.status.add_context(std::move(f));
+  return out;
+}
+
+// One ePlace-A candidate: GP from `gopts` (seed and extra term set by the
+// caller), the fallback chain, then the assembled result.
+FlowResult run_eplace_candidate(
+    const std::shared_ptr<const netlist::CompiledCircuit>& compiled,
+    const EPlaceAOptions& opts, gp::EPlaceGpOptions gopts,
+    const Deadline& deadline) {
+  obs::Span cand_span("flow/candidate");
+  gopts.deadline = deadline;
+  gopts.cancel = opts.cancel;
+
+  const auto t0 = Clock::now();
+  gp::GpResult gpr = [&] {
+    obs::Span gp_span("gp/run");
+    return gp::EPlaceGlobalPlacer(compiled, gopts).run();
+  }();
+  if (opts.inject.poison_gp) poison(gpr.positions);
+  const double gp_s = seconds_since(t0);
+
+  const auto t1 = Clock::now();
+  LegalizeOutcome leg = [&] {
+    obs::Span dp_span("flow/legalize");
+    return legalize_chain({compiled, gpr.positions, deadline, opts.cancel},
+                          eplace_chain(opts.dp, opts.inject));
+  }();
+  const double dp_s = seconds_since(t1);
+
+  FlowResult cand = assemble_result(compiled->circuit(),
+                                    std::move(leg.placement), gp_s, dp_s);
+  cand.status = std::move(leg.status);
+  cand.fallback = leg.level;
+  cand.gp_diverged = gpr.diverged || opts.inject.poison_gp ||
+                     !numeric::all_finite(gpr.positions);
+  cand.deadline_hit = gpr.deadline_hit || deadline.expired();
+  cand.gp_trace = std::move(gpr.trace);
+  return cand;
+}
+
+// Run `num_cands` candidates — concurrently on the global pool when
+// `concurrent` — and keep the best legal one by normalized area + HPWL,
+// plus `extra_score` when set. Quality scales come from the first legal
+// candidate. The reduction runs in candidate index order, so the result
+// does not depend on which thread finished first.
+FlowResult select_candidate(
+    const netlist::Circuit& circuit, std::size_t num_cands, bool concurrent,
+    const Deadline& deadline,
+    const std::function<FlowResult(std::size_t)>& run_candidate,
+    const std::function<double(const FlowResult&)>& extra_score) {
+  std::vector<std::optional<FlowResult>> cands(num_cands);
+  base::ThreadPool& pool = base::ThreadPool::global();
+  if (concurrent && pool.num_threads() > 1 && num_cands > 1) {
+    // Each candidate still honors the shared deadline internally. Failures
+    // inside a task surface through the group and are converted to a
+    // structured status by run_guarded.
+    base::ThreadPool::TaskGroup group(pool);
+    for (std::size_t k = 1; k < num_cands; ++k) {
+      group.run([&, k] { cands[k] = run_candidate(k); });
+    }
+    cands[0] = run_candidate(0);
+    group.wait();
+  } else {
+    for (std::size_t k = 0; k < num_cands; ++k) {
+      // Later candidates are optional work; the first one runs even on an
+      // expired budget so the flow still ends with a (degraded) answer.
+      if (k > 0 && deadline.expired()) break;
+      cands[k] = run_candidate(k);
+    }
+  }
+
+  FlowResult best{netlist::Placement(circuit), {}, 0, 0, 0};
+  best.status = aplace::Status::internal("no candidate was evaluated");
+  double best_score = std::numeric_limits<double>::infinity();
+  double scale_area = 1.0, scale_hpwl = 1.0;
+  bool have_ok = false, have_scales = false, skipped = false;
+  double gp_total = 0, dp_total = 0;
+  bool any_deadline_hit = false;
+  // Candidate traces are folded after the reduction: the winner keeps its
+  // weights/samples, eval counts and seconds sum over every candidate.
+  std::vector<gp::TermTrace> traces;
+  traces.reserve(cands.size());
+  std::size_t best_trace = 0;
+
+  for (std::optional<FlowResult>& cand_opt : cands) {
+    if (!cand_opt.has_value()) {
+      skipped = true;  // sequential path ran out of budget
+      continue;
+    }
+    FlowResult& cand = *cand_opt;
+    gp_total += cand.gp_seconds;
+    dp_total += cand.dp_seconds;
+    any_deadline_hit |= cand.deadline_hit;
+    traces.push_back(std::move(cand.gp_trace));
+
+    if (cand.ok()) {
+      if (!have_scales) {
+        scale_area = std::max(cand.quality.area, 1e-9);
+        scale_hpwl = std::max(cand.quality.hpwl, 1e-9);
+        have_scales = true;
+      }
+      double score =
+          cand.quality.area / scale_area + cand.quality.hpwl / scale_hpwl;
+      if (extra_score) score += extra_score(cand);
+      if (!have_ok || score < best_score) {
+        best_score = score;
+        best = std::move(cand);
+        best_trace = traces.size() - 1;
+        have_ok = true;
+      }
+    } else if (!have_ok) {
+      // No legal candidate yet: keep the structured failure.
+      best = std::move(cand);
+      best_trace = traces.size() - 1;
+    }
+  }
+  if (!traces.empty()) {
+    best.gp_trace = std::move(traces[best_trace]);
+    for (std::size_t i = 0; i < traces.size(); ++i) {
+      if (i != best_trace) best.gp_trace.merge_counts(traces[i]);
+    }
+  }
+  gp::publish_trace_metrics(best.gp_trace);
+  best.gp_seconds = gp_total;  // summed across candidates
+  best.dp_seconds = dp_total;
+  best.total_seconds = gp_total + dp_total;
+  best.deadline_hit = any_deadline_hit || skipped;
+  return best;
+}
+
+// The prior-work flow body: GP from `gopts` (extra term set by the caller),
+// then the two-stage chain.
+FlowResult run_prior_work_body(
+    const std::shared_ptr<const netlist::CompiledCircuit>& compiled,
+    const PriorWorkOptions& opts, gp::NtuGpOptions gopts) {
+  const Deadline deadline =
+      make_deadline(opts.deadline, opts.time_budget_seconds);
+  gopts.deadline = deadline;
+  gopts.cancel = opts.cancel;
+
+  const auto t0 = Clock::now();
+  gp::GpResult gpr = [&] {
+    obs::Span gp_span("gp/run");
+    return gp::PriorAnalyticalGlobalPlacer(compiled, gopts).run();
+  }();
+  if (opts.inject.poison_gp) poison(gpr.positions);
+  const double gp_s = seconds_since(t0);
+
+  const auto t1 = Clock::now();
+  LegalizeOutcome leg = [&] {
+    obs::Span dp_span("flow/legalize");
+    return legalize_chain(
+        {compiled, gpr.positions, deadline, opts.cancel},
+        two_stage_chain(FallbackLevel::None, opts.dp, opts.inject));
+  }();
+  const double dp_s = seconds_since(t1);
+
+  FlowResult out = assemble_result(compiled->circuit(),
+                                   std::move(leg.placement), gp_s, dp_s);
+  out.status = std::move(leg.status);
+  out.fallback = leg.level;
+  out.gp_diverged = gpr.diverged || opts.inject.poison_gp ||
+                    !numeric::all_finite(gpr.positions);
+  out.deadline_hit = gpr.deadline_hit || deadline.expired();
+  out.gp_trace = std::move(gpr.trace);
+  gp::publish_trace_metrics(out.gp_trace);
+  return out;
+}
+
+// The SA flow body: anneal with `sopts` (extra cost set by the caller),
+// then repair residual violations with the two-stage chain.
+FlowResult run_sa_body(
+    const std::shared_ptr<const netlist::CompiledCircuit>& compiled,
+    const SaFlowOptions& opts, sa::SaOptions sopts) {
+  const netlist::Circuit& circuit = compiled->circuit();
+  const Deadline deadline =
+      make_deadline(opts.deadline, opts.time_budget_seconds);
+  sopts.deadline = deadline;
+  sopts.cancel = opts.cancel;
+
+  const auto t0 = Clock::now();
+  sa::SaResult sar = [&] {
+    obs::Span sa_span("sa/place");
+    return sa::SaPlacer(compiled, sopts).place();
+  }();
+  const double sa_s = seconds_since(t0);
+
+  FlowResult out =
+      assemble_result(circuit, std::move(sar.placement), 0.0, sa_s);
+  out.deadline_hit = sar.deadline_hit;
+  out.sa_moves_per_second = sar.moves_per_second;
+  out.sa_net_eval_ratio = sar.eval_stats.net_eval_ratio();
+  if (out.quality.legal(1e-6) && !opts.inject.fail_primary_dp) {
+    return out;
+  }
+
+  // Annealing left residual constraint violations (alignment/ordering are
+  // only penalized, not enforced): repair with the analytical fallback
+  // chain starting from the SA positions.
+  const std::size_t n = circuit.num_devices();
+  std::vector<double> pos(2 * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const geom::Point p = out.placement.position(DeviceId{i});
+    pos[i] = p.x;
+    pos[n + i] = p.y;
+  }
+  const auto t1 = Clock::now();
+  LegalizeOutcome leg = [&] {
+    obs::Span dp_span("flow/legalize");
+    return legalize_chain(
+        {compiled, pos, deadline, opts.cancel},
+        two_stage_chain(FallbackLevel::TwoStageLp, {}, opts.inject));
+  }();
+  const double dp_s = seconds_since(t1);
+
+  FlowResult repaired =
+      assemble_result(circuit, std::move(leg.placement), 0.0, sa_s + dp_s);
+  repaired.status = std::move(leg.status);
+  repaired.fallback = leg.level;
+  repaired.deadline_hit = out.deadline_hit || deadline.expired();
+  repaired.sa_moves_per_second = out.sa_moves_per_second;
+  repaired.sa_net_eval_ratio = out.sa_net_eval_ratio;
+  return repaired;
+}
+
+// The context's snapshot, shared by every engine a perf flow builds.
+const std::shared_ptr<const netlist::CompiledCircuit>& snapshot_of(
+    const PerfContext& ctx, const netlist::Circuit& circuit) {
+  APLACE_CHECK_MSG(&ctx.compiled->circuit() == &circuit,
+                   "PerfContext was built for another circuit than '"
+                       << circuit.name() << "'");
+  return ctx.compiled;
+}
+
+// A perf flow: `body` runs behind run_guarded like a conventional flow;
+// a legal result is then routed and scored by the surrogate model, outside
+// the flow's timing.
+template <class Fn>
+PerfFlowResult run_perf_guarded(const char* flow_name,
+                                const netlist::Circuit& circuit,
+                                const PerfContext& ctx,
+                                const base::CancelToken& cancel, Fn&& body) {
+  PerfFlowResult out{
+      run_guarded(flow_name, circuit, cancel,
+                  [&] { return body(snapshot_of(ctx, circuit)); }),
+      {}};
+  if (out.flow.ok()) out.perf = evaluate_routed(ctx, out.flow.placement);
   return out;
 }
 
@@ -306,7 +569,6 @@ FlowResult run_eplace_a(const netlist::Circuit& circuit, EPlaceAOptions opts) {
     APLACE_CHECK(opts.candidates >= 1);
     const Deadline deadline =
         make_deadline(opts.deadline, opts.time_budget_seconds);
-    const std::size_t num_cands = static_cast<std::size_t>(opts.candidates);
     // One compiled snapshot serves every candidate's GP and every legalizer
     // level; through the batch cache it also serves every other job on this
     // circuit.
@@ -318,227 +580,90 @@ FlowResult run_eplace_a(const netlist::Circuit& circuit, EPlaceAOptions opts) {
     // depend on how many candidates run (the old additive derivation,
     // seed + 48*k, aliased across runs and across the GP's internal
     // multi-start streams).
-    auto run_candidate = [&](std::size_t k) -> FlowResult {
-      obs::Span cand_span("flow/candidate");
-      gp::EPlaceGpOptions gopts = opts.gp;
-      gopts.seed = numeric::split_seed(opts.gp.seed, k);
-      gopts.deadline = deadline;
-      gopts.cancel = opts.cancel;
-
-      const auto t0 = Clock::now();
-      gp::GpResult gpr = [&] {
-        obs::Span gp_span("gp/run");
-        return gp::EPlaceGlobalPlacer(compiled, gopts).run();
-      }();
-      if (opts.inject.poison_gp) poison(gpr.positions);
-      const double gp_s = seconds_since(t0);
-
-      const auto t1 = Clock::now();
-      LegalizeOutcome leg = [&] {
-        obs::Span dp_span("flow/legalize");
-        return legalize_chain(compiled, gpr.positions, &opts.dp, {},
-                              FallbackLevel::TwoStageLp, deadline, opts.cancel,
-                              opts.inject);
-      }();
-      const double dp_s = seconds_since(t1);
-
-      FlowResult cand =
-          assemble_result(circuit, std::move(leg.placement), gp_s, dp_s);
-      cand.status = std::move(leg.status);
-      cand.fallback = leg.level;
-      cand.gp_diverged = gpr.diverged || opts.inject.poison_gp ||
-                         !numeric::all_finite(gpr.positions);
-      cand.deadline_hit = gpr.deadline_hit || deadline.expired();
-      cand.gp_trace = std::move(gpr.trace);
-      return cand;
-    };
-
-    std::vector<std::optional<FlowResult>> cands(num_cands);
-    base::ThreadPool& pool = base::ThreadPool::global();
-    if (pool.num_threads() > 1 && num_cands > 1) {
-      // Concurrent candidates; each still honors the shared deadline
-      // internally. Failures inside a task surface through the group and
-      // are converted to a structured status by run_guarded.
-      base::ThreadPool::TaskGroup group(pool);
-      for (std::size_t k = 1; k < num_cands; ++k) {
-        group.run([&, k] { cands[k] = run_candidate(k); });
-      }
-      cands[0] = run_candidate(0);
-      group.wait();
-    } else {
-      for (std::size_t k = 0; k < num_cands; ++k) {
-        // Later candidates are optional work; the first one runs even on an
-        // expired budget so the flow still ends with a (degraded) answer.
-        if (k > 0 && deadline.expired()) break;
-        cands[k] = run_candidate(k);
-      }
-    }
-
-    // Ordered best-of reduction (candidate index order): identical result
-    // regardless of which thread finished first. Quality scales come from
-    // the first legal candidate, as in the sequential original.
-    FlowResult best{netlist::Placement(circuit), {}, 0, 0, 0};
-    best.status = aplace::Status::internal("no candidate was evaluated");
-    double best_score = std::numeric_limits<double>::infinity();
-    double scale_area = 1.0, scale_hpwl = 1.0;
-    bool have_ok = false, have_scales = false, skipped = false;
-    double gp_total = 0, dp_total = 0;
-    bool any_deadline_hit = false;
-    // Candidate traces are folded after the reduction: the winner keeps its
-    // weights/samples, eval counts and seconds sum over every candidate.
-    std::vector<gp::TermTrace> traces;
-    traces.reserve(cands.size());
-    std::size_t best_trace = 0;
-
-    for (std::optional<FlowResult>& cand_opt : cands) {
-      if (!cand_opt.has_value()) {
-        skipped = true;  // sequential path ran out of budget
-        continue;
-      }
-      FlowResult& cand = *cand_opt;
-      gp_total += cand.gp_seconds;
-      dp_total += cand.dp_seconds;
-      any_deadline_hit |= cand.deadline_hit;
-      traces.push_back(std::move(cand.gp_trace));
-
-      if (cand.ok()) {
-        if (!have_scales) {
-          scale_area = std::max(cand.quality.area, 1e-9);
-          scale_hpwl = std::max(cand.quality.hpwl, 1e-9);
-          have_scales = true;
-        }
-        const double score =
-            cand.quality.area / scale_area + cand.quality.hpwl / scale_hpwl;
-        if (!have_ok || score < best_score) {
-          best_score = score;
-          best = std::move(cand);
-          best_trace = traces.size() - 1;
-          have_ok = true;
-        }
-      } else if (!have_ok) {
-        // No legal candidate yet: keep the structured failure.
-        best = std::move(cand);
-        best_trace = traces.size() - 1;
-      }
-    }
-    if (!traces.empty()) {
-      best.gp_trace = std::move(traces[best_trace]);
-      for (std::size_t i = 0; i < traces.size(); ++i) {
-        if (i != best_trace) best.gp_trace.merge_counts(traces[i]);
-      }
-    }
-    gp::publish_trace_metrics(best.gp_trace);
-    best.gp_seconds = gp_total;  // summed across candidates
-    best.dp_seconds = dp_total;
-    best.total_seconds = gp_total + dp_total;
-    best.deadline_hit = any_deadline_hit || skipped;
-    return best;
+    return select_candidate(
+        circuit, static_cast<std::size_t>(opts.candidates),
+        /*concurrent=*/true, deadline,
+        [&](std::size_t k) {
+          gp::EPlaceGpOptions gopts = opts.gp;
+          gopts.seed = numeric::split_seed(opts.gp.seed, k);
+          return run_eplace_candidate(compiled, opts, gopts, deadline);
+        },
+        {});
   });
 }
 
 FlowResult run_prior_work(const netlist::Circuit& circuit,
                           PriorWorkOptions opts) {
-  return run_guarded("prior-work", circuit, opts.cancel,
-                     [&]() -> FlowResult {
-    const Deadline deadline =
-        make_deadline(opts.deadline, opts.time_budget_seconds);
-    const std::shared_ptr<const netlist::CompiledCircuit> compiled =
-        compile_or_fetch(opts.compile_cache, circuit);
-    gp::NtuGpOptions gopts = opts.gp;
-    gopts.deadline = deadline;
-    gopts.cancel = opts.cancel;
-
-    const auto t0 = Clock::now();
-    gp::GpResult gpr = [&] {
-      obs::Span gp_span("gp/run");
-      return gp::PriorAnalyticalGlobalPlacer(compiled, gopts).run();
-    }();
-    if (opts.inject.poison_gp) poison(gpr.positions);
-    const double gp_s = seconds_since(t0);
-
-    const auto t1 = Clock::now();
-    // The two-stage LP is this flow's *primary* legalizer (FallbackLevel
-    // None on success); forcing it to fail via fail_primary_dp keeps the
-    // injection knob uniform across flows.
-    FaultInjection inject = opts.inject;
-    inject.fail_two_stage |= inject.fail_primary_dp;
-    LegalizeOutcome leg = [&] {
-      obs::Span dp_span("flow/legalize");
-      return legalize_chain(compiled, gpr.positions, nullptr, opts.dp,
-                            FallbackLevel::None, deadline, opts.cancel,
-                            inject);
-    }();
-    const double dp_s = seconds_since(t1);
-
-    FlowResult out =
-        assemble_result(circuit, std::move(leg.placement), gp_s, dp_s);
-    out.status = std::move(leg.status);
-    out.fallback = leg.level;
-    out.gp_diverged = gpr.diverged || opts.inject.poison_gp ||
-                      !numeric::all_finite(gpr.positions);
-    out.deadline_hit = gpr.deadline_hit || deadline.expired();
-    out.gp_trace = std::move(gpr.trace);
-    gp::publish_trace_metrics(out.gp_trace);
-    return out;
+  return run_guarded("prior-work", circuit, opts.cancel, [&] {
+    return run_prior_work_body(compile_or_fetch(opts.compile_cache, circuit),
+                               opts, opts.gp);
   });
 }
 
 FlowResult run_sa(const netlist::Circuit& circuit, SaFlowOptions opts) {
-  return run_guarded("SA", circuit, opts.cancel, [&]() -> FlowResult {
-    const Deadline deadline =
-        make_deadline(opts.deadline, opts.time_budget_seconds);
-    const std::shared_ptr<const netlist::CompiledCircuit> compiled =
-        compile_or_fetch(opts.compile_cache, circuit);
-    sa::SaOptions sopts = opts.sa;
-    sopts.deadline = deadline;
-    sopts.cancel = opts.cancel;
-
-    const auto t0 = Clock::now();
-    sa::SaResult sar = [&] {
-      obs::Span sa_span("sa/place");
-      return sa::SaPlacer(compiled, sopts).place();
-    }();
-    const double sa_s = seconds_since(t0);
-
-    FlowResult out =
-        assemble_result(circuit, std::move(sar.placement), 0.0, sa_s);
-    out.deadline_hit = sar.deadline_hit;
-    out.sa_moves_per_second = sar.moves_per_second;
-    out.sa_net_eval_ratio = sar.eval_stats.net_eval_ratio();
-    if (out.quality.legal(1e-6) && !opts.inject.fail_primary_dp) {
-      return out;
-    }
-
-    // Annealing left residual constraint violations (alignment/ordering are
-    // only penalized, not enforced): repair with the analytical fallback
-    // chain starting from the SA positions.
-    const std::size_t n = circuit.num_devices();
-    std::vector<double> pos(2 * n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const geom::Point p = out.placement.position(DeviceId{i});
-      pos[i] = p.x;
-      pos[n + i] = p.y;
-    }
-    const auto t1 = Clock::now();
-    FaultInjection inject = opts.inject;
-    inject.fail_two_stage |= inject.fail_primary_dp;
-    LegalizeOutcome leg = [&] {
-      obs::Span dp_span("flow/legalize");
-      return legalize_chain(compiled, pos, nullptr, {},
-                            FallbackLevel::TwoStageLp, deadline, opts.cancel,
-                            inject);
-    }();
-    const double dp_s = seconds_since(t1);
-
-    FlowResult repaired =
-        assemble_result(circuit, std::move(leg.placement), 0.0, sa_s + dp_s);
-    repaired.status = std::move(leg.status);
-    repaired.fallback = leg.level;
-    repaired.deadline_hit = out.deadline_hit || deadline.expired();
-    repaired.sa_moves_per_second = out.sa_moves_per_second;
-    repaired.sa_net_eval_ratio = out.sa_net_eval_ratio;
-    return repaired;
+  return run_guarded("SA", circuit, opts.cancel, [&] {
+    return run_sa_body(compile_or_fetch(opts.compile_cache, circuit), opts,
+                       opts.sa);
   });
+}
+
+PerfFlowResult run_eplace_ap(const netlist::Circuit& circuit, PerfContext& ctx,
+                             EPlaceAOptions opts) {
+  return run_perf_guarded(
+      "ePlace-AP", circuit, ctx, opts.cancel,
+      [&](const std::shared_ptr<const netlist::CompiledCircuit>& compiled) {
+        APLACE_CHECK(opts.candidates >= 1);
+        const Deadline deadline =
+            make_deadline(opts.deadline, opts.time_budget_seconds);
+        // Candidate 0 is the conventional trajectory (no GNN term): when
+        // the model is noisy on a circuit, its own phi-aware score can
+        // still fall back to the conventional placement rather than regress
+        // below it. The candidates run one at a time because the GNN terms
+        // share the context's graph, whose feature scratch is not
+        // thread-safe.
+        return select_candidate(
+            circuit, static_cast<std::size_t>(opts.candidates) + 1,
+            /*concurrent=*/false, deadline,
+            [&](std::size_t k) {
+              gp::EPlaceGpOptions gopts = opts.gp;
+              gopts.seed = opts.gp.seed + 48ULL * k;
+              if (k > 0) {
+                gopts.extra_term =
+                    std::make_shared<gnn::PhiTerm>(ctx.graph, ctx.net);
+              }
+              return run_eplace_candidate(compiled, opts, gopts, deadline);
+            },
+            // Candidate choice by the method's own objective: normalized
+            // geometry plus the GNN's failure probability (not the
+            // surrogate oracle).
+            [&](const FlowResult& cand) {
+              return 2.0 * gnn_phi(ctx, cand.placement);
+            });
+      });
+}
+
+PerfFlowResult run_prior_work_perf(const netlist::Circuit& circuit,
+                                   PerfContext& ctx, PriorWorkOptions opts) {
+  return run_perf_guarded(
+      "prior-work-perf", circuit, ctx, opts.cancel,
+      [&](const std::shared_ptr<const netlist::CompiledCircuit>& compiled) {
+        gp::NtuGpOptions gopts = opts.gp;
+        gopts.extra_term = std::make_shared<gnn::PhiTerm>(ctx.graph, ctx.net);
+        return run_prior_work_body(compiled, opts, gopts);
+      });
+}
+
+PerfFlowResult run_sa_perf(const netlist::Circuit& circuit, PerfContext& ctx,
+                           SaFlowOptions opts, double alpha) {
+  return run_perf_guarded(
+      "SA-perf", circuit, ctx, opts.cancel,
+      [&](const std::shared_ptr<const netlist::CompiledCircuit>& compiled) {
+        sa::SaOptions sopts = opts.sa;
+        sopts.extra_cost = [&ctx, alpha](const netlist::Placement& pl) {
+          return alpha * gnn_phi(ctx, pl);
+        };
+        return run_sa_body(compiled, opts, sopts);
+      });
 }
 
 }  // namespace aplace::core

@@ -34,10 +34,12 @@
 namespace aplace::core {
 
 /// Which legalizer in the fallback chain produced the final placement.
-/// The ePlace-A chain is: ILP (None) -> rounded LP relaxation (RoundedLp)
-/// -> two-stage LP (TwoStageLp) -> greedy shift (GreedyShift). The
-/// prior-work flow starts at its own two-stage LP (None) and falls back to
-/// GreedyShift; the SA flow reports None when annealing itself ended legal.
+/// The ePlace-A and ePlace-AP chain is: ILP (None) -> rounded LP relaxation
+/// (RoundedLp) -> two-stage LP (TwoStageLp) -> greedy shift (GreedyShift).
+/// The prior-work and Perf* flows start at their own two-stage LP (None)
+/// and fall back to GreedyShift; the SA flows report None when annealing
+/// itself ended legal, else repair with two-stage LP (TwoStageLp) ->
+/// GreedyShift.
 enum class FallbackLevel : std::uint8_t {
   None,         ///< the flow's primary legalizer succeeded
   RoundedLp,    ///< ILP relaxation with flipping off, single round

@@ -1,23 +1,14 @@
 #include "core/perf_flow.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <limits>
 #include <utility>
 
-#include "gnn/phi_term.hpp"
 #include "numeric/rng.hpp"
 #include "sa/annealer.hpp"
 
 namespace aplace::core {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 std::vector<double> positions_of(const netlist::Placement& pl) {
   const std::size_t n = pl.circuit().num_devices();
@@ -32,15 +23,6 @@ std::vector<double> positions_of(const netlist::Placement& pl) {
 
 double coord_scale_of(const netlist::Circuit& c) {
   return std::sqrt(c.total_device_area() / 0.5);
-}
-
-// The context's snapshot, shared by every engine a perf flow builds.
-const std::shared_ptr<const netlist::CompiledCircuit>& snapshot_of(
-    const PerfContext& ctx, const netlist::Circuit& circuit) {
-  APLACE_CHECK_MSG(&ctx.compiled->circuit() == &circuit,
-                   "PerfContext was built for another circuit than '"
-                       << circuit.name() << "'");
-  return ctx.compiled;
 }
 
 }  // namespace
@@ -141,116 +123,6 @@ double gnn_phi(const PerfContext& ctx, const netlist::Placement& placement) {
   gnn::GnnModel::Activations act;
   const numeric::Matrix x = ctx.graph.features(positions_of(placement));
   return ctx.net.forward(ctx.graph.adjacency(), x, act);
-}
-
-PerfFlowResult run_eplace_ap(const netlist::Circuit& circuit, PerfContext& ctx,
-                             EPlaceAOptions opts) {
-  APLACE_CHECK(opts.candidates >= 1);
-  const auto& compiled = snapshot_of(ctx, circuit);
-  const netlist::Evaluator eval(circuit);
-  PerfFlowResult best{FlowResult{netlist::Placement(circuit), {}, 0, 0, 0},
-                      {}};
-  double best_score = std::numeric_limits<double>::infinity();
-  double scale_area = 1.0, scale_hpwl = 1.0;
-  double acc_gp = 0, acc_dp = 0, acc_total = 0;
-
-  // Candidate 0 is the conventional trajectory (no GNN term): when the
-  // model is noisy on a circuit, its own phi-aware score can still fall
-  // back to the conventional placement rather than regress below it.
-  for (int k = 0; k <= opts.candidates; ++k) {
-    gp::EPlaceGpOptions gopts = opts.gp;
-    gopts.seed = opts.gp.seed + 48ULL * static_cast<std::uint64_t>(k);
-
-    const auto t0 = Clock::now();
-    gp::EPlaceGlobalPlacer placer(compiled, gopts);
-    if (k > 0) {
-      placer.set_extra_term(std::make_shared<gnn::PhiTerm>(ctx.graph, ctx.net));
-    }
-    gp::GpResult gpr = placer.run();
-    const double gp_s = seconds_since(t0);
-
-    const auto t1 = Clock::now();
-    const legal::IlpDetailedPlacer dp(compiled, opts.dp);
-    legal::IlpResult dpr = dp.place(gpr.positions);
-    APLACE_CHECK_MSG(dpr.ok(), "ePlace-AP detailed placement failed on '"
-                                   << circuit.name() << "'");
-    const double dp_s = seconds_since(t1);
-    acc_gp += gp_s;
-    acc_dp += dp_s;
-    acc_total += gp_s + dp_s;
-
-    PerfFlowResult cand{
-        FlowResult{std::move(dpr.placement), {}, 0, 0, 0}, {}};
-    cand.flow.quality = eval.evaluate(cand.flow.placement);
-    cand.flow.gp_trace = std::move(gpr.trace);
-    if (k == 0) {
-      scale_area = std::max(cand.flow.quality.area, 1e-9);
-      scale_hpwl = std::max(cand.flow.quality.hpwl, 1e-9);
-    }
-    // Candidate choice by the method's own objective: normalized geometry
-    // plus the GNN's failure probability (not the surrogate oracle).
-    const double score = cand.flow.quality.area / scale_area +
-                         cand.flow.quality.hpwl / scale_hpwl +
-                         2.0 * gnn_phi(ctx, cand.flow.placement);
-    if (score < best_score) {
-      best_score = score;
-      std::swap(best, cand);
-    }
-    if (k > 0) {
-      // Fold the losing candidate's per-term counters into the winner's
-      // trace (winner keeps its weights and convergence samples).
-      best.flow.gp_trace.merge_counts(cand.flow.gp_trace);
-    }
-  }
-  best.flow.gp_seconds = acc_gp;
-  best.flow.dp_seconds = acc_dp;
-  best.flow.total_seconds = acc_total;
-  best.perf = evaluate_routed(ctx, best.flow.placement);
-  return best;
-}
-
-PerfFlowResult run_prior_work_perf(const netlist::Circuit& circuit,
-                                   PerfContext& ctx, PriorWorkOptions opts) {
-  const auto& compiled = snapshot_of(ctx, circuit);
-  const auto t0 = Clock::now();
-  gp::PriorAnalyticalGlobalPlacer placer(compiled, opts.gp);
-  placer.set_extra_term(std::make_shared<gnn::PhiTerm>(ctx.graph, ctx.net));
-  gp::GpResult gpr = placer.run();
-  const double gp_s = seconds_since(t0);
-
-  const auto t1 = Clock::now();
-  const legal::TwoStageLpLegalizer dp(compiled, opts.dp);
-  legal::TwoStageResult dpr = dp.place(gpr.positions);
-  APLACE_CHECK_MSG(dpr.ok(), "Perf* detailed placement failed on '"
-                                 << circuit.name() << "'");
-  const double dp_s = seconds_since(t1);
-
-  PerfFlowResult out{
-      FlowResult{std::move(dpr.placement), {}, gp_s, dp_s, gp_s + dp_s}, {}};
-  out.flow.quality = netlist::Evaluator(circuit).evaluate(out.flow.placement);
-  out.flow.gp_trace = std::move(gpr.trace);
-  out.perf = evaluate_routed(ctx, out.flow.placement);
-  return out;
-}
-
-PerfFlowResult run_sa_perf(const netlist::Circuit& circuit, PerfContext& ctx,
-                           SaFlowOptions opts, double alpha) {
-  const auto t0 = Clock::now();
-  sa::SaOptions sopts = opts.sa;
-  sopts.extra_cost = [&ctx, alpha](const netlist::Placement& pl) {
-    return alpha * gnn_phi(ctx, pl);
-  };
-  sa::SaPlacer placer(snapshot_of(ctx, circuit), sopts);
-  sa::SaResult sar = placer.place();
-  const double total = seconds_since(t0);
-
-  PerfFlowResult out{FlowResult{std::move(sar.placement), {}, 0, 0, total},
-                     {}};
-  out.flow.quality = netlist::Evaluator(circuit).evaluate(out.flow.placement);
-  out.flow.sa_moves_per_second = sar.moves_per_second;
-  out.flow.sa_net_eval_ratio = sar.eval_stats.net_eval_ratio();
-  out.perf = evaluate_routed(ctx, out.flow.placement);
-  return out;
 }
 
 }  // namespace aplace::core

@@ -14,6 +14,15 @@
 //                      the annealing cost.
 //   * evaluate_routed — route the placement, extract parasitics, run the
 //                      surrogate "SPICE" and report metric values + FOM.
+//
+// The three runners are the conventional flows of core/flow.hpp with the
+// GNN term added (GpCommonOptions::extra_term, SaOptions::extra_cost):
+// same pre-flight validation, fallback chain and structured Status, and
+// they never throw. They honour every field of their options struct —
+// time_budget_seconds, deadline, cancel and inject included — except
+// compile_cache: every engine is built from ctx.compiled, which must have
+// been compiled from `circuit` itself. `perf` is filled only when the flow
+// ends Ok.
 
 #include <memory>
 
@@ -61,6 +70,10 @@ struct PerfFlowResult {
   perf::PerformanceResult perf;  ///< routed + surrogate-simulated metrics
 };
 
+/// Runs opts.candidates + 1 candidates one at a time: candidate 0 is a
+/// conventional ePlace-A candidate, the rest add the GNN term; candidate k
+/// seeds its GP with gp.seed + 48k. The winner minimizes normalized area +
+/// HPWL + 2 Phi.
 [[nodiscard]] PerfFlowResult run_eplace_ap(const netlist::Circuit& circuit,
                                            PerfContext& ctx,
                                            EPlaceAOptions opts = {});

@@ -21,9 +21,10 @@
 // ov_x(col) * ov_y(row) exactly — precomputing per-column overlaps once per
 // device and streaming each bin row 4 columns at a time (cache-blocked by
 // construction: rows are contiguous in the row-major matrices).
-// set_use_simd() switches per instance at runtime; both paths keep the
-// chunk-ordered ThreadPool reduction, so each is bit-identical at any
-// thread count, and they agree to <= 1e-12 relative (tests/simd_test.cpp).
+// An instance takes the path simd::default_enabled() names when it is
+// constructed; both paths keep the chunk-ordered ThreadPool reduction, so
+// each is bit-identical at any thread count, and they agree to <= 1e-12
+// relative (tests/simd_test.cpp).
 
 #include <memory>
 #include <span>
@@ -43,11 +44,6 @@ class ElectroDensity {
 
   [[nodiscard]] const BinGrid& grid() const { return grid_; }
   [[nodiscard]] double target_density() const { return target_; }
-
-  /// Select the vectorized (true) or scalar-reference (false) splat/force
-  /// kernels. Defaults to simd::default_enabled().
-  void set_use_simd(bool on) { use_simd_ = on; }
-  [[nodiscard]] bool use_simd() const { return use_simd_; }
 
   /// Phase 1 of value_and_grad: splat charge + occupancy at v, normalize
   /// rho, refresh overflow(). Exposed so the splat kernel can be timed in
@@ -101,7 +97,7 @@ class ElectroDensity {
   double target_;
   numeric::spectral::Basis basis_x_, basis_y_;
   std::vector<DeviceInfo> devices_;
-  bool use_simd_;
+  bool use_simd_;  ///< simd::default_enabled() at construction
 
   // Scratch matrices reused across evaluations: value_and_grad performs no
   // heap allocation after construction (the Nesterov hot loop).

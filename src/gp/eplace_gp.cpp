@@ -21,13 +21,12 @@ geom::Rect make_region(const netlist::CompiledCircuit& cc,
   return {0, 0, side, side};
 }
 
-// Validate the density bin count and (by default) round it up to a power of
-// two, which keeps ElectroDensity on the FFT-backed spectral path.
+// Validate the density bin count and round it up to a power of two, which
+// keeps ElectroDensity's Poisson solve on the O(n log n) FFT path instead of
+// the O(n^2) dense-basis fallback.
 EPlaceGpOptions normalized(EPlaceGpOptions opts) {
   APLACE_CHECK_MSG(opts.bins >= 2, "ePlace-A needs >= 2 density bins");
-  if (opts.pow2_bins && !numeric::fft::is_pow2(opts.bins)) {
-    opts.bins = numeric::fft::next_pow2(opts.bins);
-  }
+  opts.bins = numeric::fft::next_pow2(opts.bins);
   return opts;
 }
 
@@ -48,14 +47,6 @@ EPlaceGlobalPlacer::EPlaceGlobalPlacer(
       dens_(compiled_, region_, opts_.bins, opts_.bins, opts_.target_density),
       pen_(compiled_) {}
 
-void EPlaceGlobalPlacer::set_extra_term(ExtraTerm term) {
-  extra_ = std::make_shared<FunctionTerm>("extra", std::move(term));
-}
-
-void EPlaceGlobalPlacer::set_extra_term(std::shared_ptr<ObjectiveTerm> term) {
-  extra_ = std::move(term);
-}
-
 void EPlaceGlobalPlacer::build_objective() {
   objective_ =
       std::make_unique<CompositeObjective>(2 * compiled_->num_devices());
@@ -74,7 +65,7 @@ void EPlaceGlobalPlacer::build_objective() {
   obj.add_term(std::make_shared<PenaltyTerm>(pen_, PenaltyTerm::Kind::Alignment));
   obj.add_term(std::make_shared<PenaltyTerm>(pen_, PenaltyTerm::Kind::Ordering));
   obj.add_term(std::make_shared<PenaltyTerm>(pen_, region_));
-  if (extra_) obj.add_term(extra_);
+  if (opts_.extra_term) obj.add_term(opts_.extra_term);
 
   scheduler_ = std::make_unique<WeightScheduler>(obj);
   using Rule = WeightScheduler::Rule;
@@ -111,10 +102,10 @@ void EPlaceGlobalPlacer::build_objective() {
   scheduler_->set_rule("boundary", {.init = Rule::Init::RefOverScale,
                                     .rel = opts_.boundary_rel,
                                     .scale_div = dens_.grid().bin_w()});
-  if (extra_) {
+  if (opts_.extra_term) {
     // Calibrate the extra (GNN) term against the wirelength gradient so its
     // forces are comparable regardless of model scale.
-    scheduler_->set_rule(std::string(extra_->name()),
+    scheduler_->set_rule(std::string(opts_.extra_term->name()),
                          {.init = Rule::Init::RelToRefGrad,
                           .rel = opts_.extra_rel});
   }
@@ -159,9 +150,10 @@ GpResult EPlaceGlobalPlacer::run() {
     // (GNN) term is installed, prefer hand-offs the model likes too.
     double score = pl.total_hpwl() + std::sqrt(pl.layout_area()) +
                    4.0 * pl.total_overlap_area();
-    if (extra_) {
+    if (opts_.extra_term) {
       numeric::Vec tmp(2 * n, 0.0);
-      const double phi = extra_->value_and_grad(r.positions, tmp, 1.0);
+      const double phi =
+          opts_.extra_term->value_and_grad(r.positions, tmp, 1.0);
       score *= 1.0 + phi;
     }
     if (score < best_score) {

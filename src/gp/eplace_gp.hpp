@@ -11,9 +11,8 @@
 // in GpResult::trace.
 //
 // The performance-driven variant (ePlace-AP) plugs the GNN term in as one
-// more ObjectiveTerm via set_extra_term().
+// more ObjectiveTerm through GpCommonOptions::extra_term.
 
-#include <functional>
 #include <memory>
 
 #include "density/electro.hpp"
@@ -30,10 +29,6 @@ namespace aplace::gp {
 enum class WlSmoothing : std::uint8_t { WeightedAverage, LogSumExp };
 
 struct EPlaceGpOptions : GpCommonOptions {
-  /// Round `bins` up to the next power of two so the electrostatic Poisson
-  /// solve takes the O(n log n) FFT path instead of the O(n^2) dense-basis
-  /// fallback. Disable only to exercise the fallback deliberately.
-  bool pow2_bins = true;
   int max_iters = 600;
   int min_iters = 60;  ///< run at least this many iterations
 
@@ -68,17 +63,8 @@ struct GpResult {
 
 class EPlaceGlobalPlacer {
  public:
-  using ExtraTerm = std::function<double(std::span<const double> v,
-                                         std::span<double> grad)>;
-
   EPlaceGlobalPlacer(std::shared_ptr<const netlist::CompiledCircuit> compiled,
                      EPlaceGpOptions opts);
-
-  /// Extra objective term (returns its value, accumulates its gradient).
-  /// Legacy functor hook; wrapped into a FunctionTerm named "extra".
-  void set_extra_term(ExtraTerm term);
-  /// First-class extra term (e.g. gnn::PhiTerm). Must precede run().
-  void set_extra_term(std::shared_ptr<ObjectiveTerm> term);
 
   [[nodiscard]] const geom::Rect& region() const { return region_; }
 
@@ -99,7 +85,6 @@ class EPlaceGlobalPlacer {
   wirelength::WaAreaTerm area_;
   density::ElectroDensity dens_;
   ConstraintPenalties pen_;
-  std::shared_ptr<ObjectiveTerm> extra_;
   std::unique_ptr<CompositeObjective> objective_;
   std::unique_ptr<WeightScheduler> scheduler_;
 };

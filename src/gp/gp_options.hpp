@@ -6,11 +6,14 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 
 #include "base/cancel.hpp"
 #include "base/deadline.hpp"
 
 namespace aplace::gp {
+
+class ObjectiveTerm;
 
 struct GpCommonOptions {
   std::size_t bins = 32;        ///< density bins per side
@@ -28,6 +31,10 @@ struct GpCommonOptions {
   double order_rel = 0.08;    ///< ordering weight, tied to the tau scale
   double boundary_rel = 2.0;  ///< boundary hinge vs. WL gradient per bin
   double extra_rel = 2.0;     ///< extra-term (GNN) weight vs. WL gradient
+  /// One more objective term (e.g. gnn::PhiTerm for the performance-driven
+  /// flows), registered last. A term keeps per-run scratch, so concurrent
+  /// placers each need their own.
+  std::shared_ptr<ObjectiveTerm> extra_term;
 
   std::uint64_t seed = 3;  ///< initial-spread jitter
   /// Wall-clock budget shared with the rest of the flow.

@@ -25,15 +25,6 @@ PriorAnalyticalGlobalPlacer::PriorAnalyticalGlobalPlacer(
       dens_(compiled_, region_, opts.bins, opts.bins, opts.target_density),
       pen_(compiled_) {}
 
-void PriorAnalyticalGlobalPlacer::set_extra_term(ExtraTerm term) {
-  extra_ = std::make_shared<FunctionTerm>("extra", std::move(term));
-}
-
-void PriorAnalyticalGlobalPlacer::set_extra_term(
-    std::shared_ptr<ObjectiveTerm> term) {
-  extra_ = std::move(term);
-}
-
 void PriorAnalyticalGlobalPlacer::build_objective() {
   objective_ =
       std::make_unique<CompositeObjective>(2 * compiled_->num_devices());
@@ -48,7 +39,7 @@ void PriorAnalyticalGlobalPlacer::build_objective() {
   obj.add_term(std::make_shared<PenaltyTerm>(pen_, PenaltyTerm::Kind::Alignment));
   obj.add_term(std::make_shared<PenaltyTerm>(pen_, PenaltyTerm::Kind::Ordering));
   obj.add_term(std::make_shared<PenaltyTerm>(pen_, region_));
-  if (extra_) obj.add_term(extra_);
+  if (opts_.extra_term) obj.add_term(opts_.extra_term);
 
   scheduler_ = std::make_unique<WeightScheduler>(obj);
   using Rule = WeightScheduler::Rule;
@@ -77,8 +68,8 @@ void PriorAnalyticalGlobalPlacer::build_objective() {
   scheduler_->set_rule("boundary", {.init = Rule::Init::RefOverScale,
                                     .rel = opts_.boundary_rel,
                                     .scale_div = dens_.grid().bin_w()});
-  if (extra_) {
-    scheduler_->set_rule(std::string(extra_->name()),
+  if (opts_.extra_term) {
+    scheduler_->set_rule(std::string(opts_.extra_term->name()),
                          {.init = Rule::Init::RelToRefGrad,
                           .rel = opts_.extra_rel});
   }

@@ -13,7 +13,6 @@
 // Like ePlace-A the objective is a gp::CompositeObjective; only the term
 // choices and the WeightScheduler growth rules differ.
 
-#include <functional>
 #include <memory>
 
 #include "density/bell.hpp"
@@ -43,18 +42,9 @@ struct NtuGpOptions : GpCommonOptions {
 
 class PriorAnalyticalGlobalPlacer {
  public:
-  using ExtraTerm = std::function<double(std::span<const double> v,
-                                         std::span<double> grad)>;
-
   PriorAnalyticalGlobalPlacer(
       std::shared_ptr<const netlist::CompiledCircuit> compiled,
       NtuGpOptions opts);
-
-  /// Used by the Perf* extension (paper Table V): adds alpha * Phi to the
-  /// objective via its value and gradient. Legacy functor hook.
-  void set_extra_term(ExtraTerm term);
-  /// First-class extra term (e.g. gnn::PhiTerm). Must precede run().
-  void set_extra_term(std::shared_ptr<ObjectiveTerm> term);
 
   [[nodiscard]] const geom::Rect& region() const { return region_; }
 
@@ -69,7 +59,6 @@ class PriorAnalyticalGlobalPlacer {
   wirelength::LseWirelength wl_;
   density::BellDensity dens_;
   ConstraintPenalties pen_;
-  std::shared_ptr<ObjectiveTerm> extra_;
   std::unique_ptr<CompositeObjective> objective_;
   std::unique_ptr<WeightScheduler> scheduler_;
 };

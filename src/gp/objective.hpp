@@ -339,10 +339,10 @@ class PenaltyTerm final : public ObjectiveTerm {
   geom::Rect region_{};
 };
 
-/// Arbitrary value-and-grad functor (the GNN extra term's legacy hook and
-/// the test seam). The functor ADDS its raw gradient to the span it is
-/// given; the adapter applies the scale through an internal scratch buffer,
-/// mirroring the old extra-term handling in both placers.
+/// Arbitrary value-and-grad functor (a test seam, e.g. as
+/// GpCommonOptions::extra_term). The functor ADDS its raw gradient to the
+/// span it is given; the adapter applies the scale through an internal
+/// scratch buffer.
 class FunctionTerm final : public ObjectiveTerm {
  public:
   using Fn = std::function<double(std::span<const double> v,

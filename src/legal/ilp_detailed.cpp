@@ -1,17 +1,14 @@
 #include "legal/ilp_detailed.hpp"
 
-#include <algorithm>
 #include <array>
 #include <cmath>
 #include <limits>
-#include <set>
 
+#include "legal/layout_lp.hpp"
 #include "legal/projection.hpp"
 #include "legal/relative_order.hpp"
 
 namespace aplace::legal {
-
-using netlist::Axis;
 
 IlpDetailedPlacer::IlpDetailedPlacer(
     std::shared_ptr<const netlist::CompiledCircuit> compiled, IlpOptions opts)
@@ -247,12 +244,6 @@ solver::MilpSolution IlpDetailedPlacer::solve_round(
   const std::span<const double> dev_w = cc.dev_width();
   const std::span<const double> dev_h = cc.dev_height();
 
-  // ---- variables -------------------------------------------------------------
-  solver::LpProblem lp;
-  const double inf = solver::kInf;
-  auto gw = [&](std::size_t d) { return dev_w[d] / gu; };
-  auto gh = [&](std::size_t d) { return dev_h[d] / gu; };
-
   // W~ = H~ = sqrt(sum s_i / zeta) in grid units (paper constants).
   double total_area_gu = 0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -260,181 +251,102 @@ solver::MilpSolution IlpDetailedPlacer::solve_round(
   }
   const double wh_tilde = std::sqrt(total_area_gu / opts_.utilization);
 
-  vx.assign(n, -1);
-  vy.assign(n, -1);
   vfx.assign(n, -1);
   vfy.assign(n, -1);
-  double max_w = 0, max_h = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    vx[i] =
-        lp.add_variable(gw(i) / 2, inf, 0.0, c.device(DeviceId{i}).name + ".x");
-    vy[i] =
-        lp.add_variable(gh(i) / 2, inf, 0.0, c.device(DeviceId{i}).name + ".y");
-    max_w = std::max(max_w, gw(i));
-    max_h = std::max(max_h, gh(i));
-  }
-  const int vW =
-      lp.add_variable(max_w, inf, opts_.mu * wh_tilde / 2.0, "W");
-  const int vH =
-      lp.add_variable(max_h, inf, opts_.mu * wh_tilde / 2.0, "H");
-  if (opts_.enable_flipping) {
-    // A flip variable only matters when some pin is offset from the device
-    // center line in that dimension; otherwise skip it (fewer binaries).
-    std::vector<char> fx_useful(n, 0), fy_useful(n, 0);
-    const std::span<const std::uint32_t> pdev = cc.pin_device();
-    const std::span<const double> pox = cc.pin_offset_x();
-    const std::span<const double> poy = cc.pin_offset_y();
-    for (std::size_t p = 0; p < cc.num_pins(); ++p) {
-      const std::uint32_t i = pdev[p];
-      if (std::abs(dev_w[i] - 2 * pox[p]) > 1e-12) fx_useful[i] = 1;
-      if (std::abs(dev_h[i] - 2 * poy[p]) > 1e-12) fy_useful[i] = 1;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::string& name = c.device(DeviceId{i}).name;
-      if (fx_useful[i]) {
-        vfx[i] = lp.add_variable(0, 1, 0.0, name + ".fx");
-        if (fixed_flips == nullptr) {
-          lp.set_integer(vfx[i]);
-        } else {
-          const double f = (*fixed_flips)[i].flip_x ? 1.0 : 0.0;
-          lp.set_bounds(vfx[i], f, f);
-        }
+  // The flipping and net-box variables and the (4b)+(4d) rows go in ahead
+  // of the shared layout rows: the variable and row order fixes the MILP's
+  // pivots and so its placements.
+  auto add_flips_and_nets = [&](LayoutLp& s) {
+    solver::LpProblem& lp = s.lp;
+    if (opts_.enable_flipping) {
+      // A flip variable only matters when some pin is offset from the
+      // device center line in that dimension; otherwise skip it (fewer
+      // binaries).
+      std::vector<char> fx_useful(n, 0), fy_useful(n, 0);
+      const std::span<const std::uint32_t> pdev = cc.pin_device();
+      const std::span<const double> pox = cc.pin_offset_x();
+      const std::span<const double> poy = cc.pin_offset_y();
+      for (std::size_t p = 0; p < cc.num_pins(); ++p) {
+        const std::uint32_t i = pdev[p];
+        if (std::abs(dev_w[i] - 2 * pox[p]) > 1e-12) fx_useful[i] = 1;
+        if (std::abs(dev_h[i] - 2 * poy[p]) > 1e-12) fy_useful[i] = 1;
       }
-      if (fy_useful[i]) {
-        vfy[i] = lp.add_variable(0, 1, 0.0, name + ".fy");
-        if (fixed_flips == nullptr) {
-          lp.set_integer(vfy[i]);
-        } else {
-          const double f = (*fixed_flips)[i].flip_y ? 1.0 : 0.0;
-          lp.set_bounds(vfy[i], f, f);
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::string& name = c.device(DeviceId{i}).name;
+        if (fx_useful[i]) {
+          vfx[i] = lp.add_variable(0, 1, 0.0, name + ".fx");
+          if (fixed_flips == nullptr) {
+            lp.set_integer(vfx[i]);
+          } else {
+            const double f = (*fixed_flips)[i].flip_x ? 1.0 : 0.0;
+            lp.set_bounds(vfx[i], f, f);
+          }
+        }
+        if (fy_useful[i]) {
+          vfy[i] = lp.add_variable(0, 1, 0.0, name + ".fy");
+          if (fixed_flips == nullptr) {
+            lp.set_integer(vfy[i]);
+          } else {
+            const double f = (*fixed_flips)[i].flip_y ? 1.0 : 0.0;
+            lp.set_bounds(vfy[i], f, f);
+          }
         }
       }
     }
-  }
-  // Net bounding boxes (xmin, xmax, ymin, ymax).
-  const std::size_t ne = cc.num_nets();
-  const std::span<const double> net_weight = cc.net_weight();
-  std::vector<std::array<int, 4>> vnet(ne);
-  for (std::size_t e = 0; e < ne; ++e) {
-    const double w = net_weight[e];
-    vnet[e][0] = lp.add_variable(0, inf, -w, c.net(NetId{e}).name + ".xmin");
-    vnet[e][1] = lp.add_variable(0, inf, +w, c.net(NetId{e}).name + ".xmax");
-    vnet[e][2] = lp.add_variable(0, inf, -w, c.net(NetId{e}).name + ".ymin");
-    vnet[e][3] = lp.add_variable(0, inf, +w, c.net(NetId{e}).name + ".ymax");
-  }
-
-  using solver::LpTerm;
-  using solver::Relation;
-
-  // ---- (4b)+(4d): net bounds over pin positions with flipping ----------------
-  const std::span<const std::uint32_t> pin_device = cc.pin_device();
-  const std::span<const double> pin_off_x = cc.pin_offset_x();
-  const std::span<const double> pin_off_y = cc.pin_offset_y();
-  for (std::size_t e = 0; e < ne; ++e) {
-    for (std::uint32_t pid : cc.net_pins(e)) {
-      const std::size_t i = pin_device[pid];
-      // Offsets from the device *center* in grid units; flipping adds
-      // f * (w - 2*xpin).
-      const double cx = (pin_off_x[pid] - dev_w[i] / 2) / gu;
-      const double cy = (pin_off_y[pid] - dev_h[i] / 2) / gu;
-      const double dx = (dev_w[i] - 2 * pin_off_x[pid]) / gu;
-      const double dy = (dev_h[i] - 2 * pin_off_y[pid]) / gu;
-
-      auto bound = [&](int vmin, int vmax, int vpos, int vflip, double c0,
-                       double dflip) {
-        std::vector<LpTerm> lo{{vmin, 1.0}, {vpos, -1.0}};
-        std::vector<LpTerm> hi{{vpos, 1.0}, {vmax, -1.0}};
-        if (vflip >= 0 && dflip != 0.0) {
-          lo.push_back({vflip, -dflip});
-          hi.push_back({vflip, +dflip});
-        }
-        lp.add_constraint(std::move(lo), Relation::LessEq, c0);
-        lp.add_constraint(std::move(hi), Relation::LessEq, -c0);
-      };
-      bound(vnet[e][0], vnet[e][1], vx[i], vfx[i], cx, dx);
-      bound(vnet[e][2], vnet[e][3], vy[i], vfy[i], cy, dy);
+    // Net bounding boxes (xmin, xmax, ymin, ymax).
+    const std::size_t ne = cc.num_nets();
+    const std::span<const double> net_weight = cc.net_weight();
+    std::vector<std::array<int, 4>> vnet(ne);
+    for (std::size_t e = 0; e < ne; ++e) {
+      const double w = net_weight[e];
+      const std::string& name = c.net(NetId{e}).name;
+      vnet[e][0] = lp.add_variable(0, solver::kInf, -w, name + ".xmin");
+      vnet[e][1] = lp.add_variable(0, solver::kInf, +w, name + ".xmax");
+      vnet[e][2] = lp.add_variable(0, solver::kInf, -w, name + ".ymin");
+      vnet[e][3] = lp.add_variable(0, solver::kInf, +w, name + ".ymax");
     }
-  }
 
-  // ---- (4c): die extents -------------------------------------------------------
-  for (std::size_t i = 0; i < n; ++i) {
-    lp.add_constraint({{vx[i], 1.0}, {vW, -1.0}}, Relation::LessEq,
-                      -gw(i) / 2);
-    lp.add_constraint({{vy[i], 1.0}, {vH, -1.0}}, Relation::LessEq,
-                      -gh(i) / 2);
-  }
+    // ---- (4b)+(4d): net bounds over pin positions with flipping -------------
+    const std::span<const std::uint32_t> pin_device = cc.pin_device();
+    const std::span<const double> pin_off_x = cc.pin_offset_x();
+    const std::span<const double> pin_off_y = cc.pin_offset_y();
+    for (std::size_t e = 0; e < ne; ++e) {
+      for (std::uint32_t pid : cc.net_pins(e)) {
+        const std::size_t i = pin_device[pid];
+        // Offsets from the device *center* in grid units; flipping adds
+        // f * (w - 2*xpin).
+        const double cx = (pin_off_x[pid] - dev_w[i] / 2) / gu;
+        const double cy = (pin_off_y[pid] - dev_h[i] / 2) / gu;
+        const double dx = (dev_w[i] - 2 * pin_off_x[pid]) / gu;
+        const double dy = (dev_h[i] - 2 * pin_off_y[pid]) / gu;
 
-  // ---- (4e)+(4i): pairwise separation ------------------------------------------
-  for (const PairOrder& po : orders) {
-    const std::size_t a = po.left_or_bottom.index();
-    const std::size_t b = po.right_or_top.index();
-    if (po.horizontal) {
-      lp.add_constraint({{vx[a], 1.0}, {vx[b], -1.0}}, Relation::LessEq,
-                        -(gw(a) + gw(b)) / 2);
-    } else {
-      lp.add_constraint({{vy[a], 1.0}, {vy[b], -1.0}}, Relation::LessEq,
-                        -(gh(a) + gh(b)) / 2);
+        auto bound = [&](int vmin, int vmax, int vpos, int vflip, double c0,
+                         double dflip) {
+          std::vector<solver::LpTerm> lo{{vmin, 1.0}, {vpos, -1.0}};
+          std::vector<solver::LpTerm> hi{{vpos, 1.0}, {vmax, -1.0}};
+          if (vflip >= 0 && dflip != 0.0) {
+            lo.push_back({vflip, -dflip});
+            hi.push_back({vflip, +dflip});
+          }
+          lp.add_constraint(std::move(lo), solver::Relation::LessEq, c0);
+          lp.add_constraint(std::move(hi), solver::Relation::LessEq, -c0);
+        };
+        bound(vnet[e][0], vnet[e][1], s.vx[i], vfx[i], cx, dx);
+        bound(vnet[e][2], vnet[e][3], s.vy[i], vfy[i], cy, dy);
+      }
     }
-  }
-
-  // ---- (4f): hard symmetry -------------------------------------------------------
-  for (std::size_t g = 0; g < cc.num_symmetry_groups(); ++g) {
-    const bool vert = cc.sym_axis(g) == Axis::Vertical;
-    const int vm = lp.add_variable(0, inf, 0.0, "axis");
-    auto mir_var = [&](std::size_t d) { return vert ? vx[d] : vy[d]; };
-    auto ort_var = [&](std::size_t d) { return vert ? vy[d] : vx[d]; };
-    const std::span<const std::uint32_t> pa = cc.sym_pair_a(g);
-    const std::span<const std::uint32_t> pb = cc.sym_pair_b(g);
-    for (std::size_t k = 0; k < pa.size(); ++k) {
-      lp.add_constraint(
-          {{mir_var(pa[k]), 1.0}, {mir_var(pb[k]), 1.0}, {vm, -2.0}},
-          Relation::Equal, 0.0);
-      lp.add_constraint({{ort_var(pa[k]), 1.0}, {ort_var(pb[k]), -1.0}},
-                        Relation::Equal, 0.0);
-    }
-    for (std::uint32_t d : cc.sym_self(g)) {
-      lp.add_constraint({{mir_var(d), 1.0}, {vm, -1.0}}, Relation::Equal,
-                        0.0);
-    }
-  }
-
-  // ---- (4g)+(4h): alignment -------------------------------------------------------
-  for (std::size_t k = 0; k < cc.num_alignments(); ++k) {
-    const std::size_t a = cc.align_a()[k], b = cc.align_b()[k];
-    switch (cc.align_kind()[k]) {
-      case netlist::AlignmentKind::Bottom:
-        lp.add_constraint({{vy[a], 1.0}, {vy[b], -1.0}}, Relation::Equal,
-                          (gh(a) - gh(b)) / 2);
-        break;
-      case netlist::AlignmentKind::VerticalCenter:
-        lp.add_constraint({{vx[a], 1.0}, {vx[b], -1.0}}, Relation::Equal,
-                          0.0);
-        break;
-      case netlist::AlignmentKind::HorizontalCenter:
-        lp.add_constraint({{vy[a], 1.0}, {vy[b], -1.0}}, Relation::Equal,
-                          0.0);
-        break;
-    }
-  }
-
-  // ---- common centroid: diagonal-sum equalities --------------------------------
-  for (std::size_t q = 0; q < cc.num_centroids(); ++q) {
-    const std::size_t a1 = cc.cent_a1()[q], a2 = cc.cent_a2()[q];
-    const std::size_t b1 = cc.cent_b1()[q], b2 = cc.cent_b2()[q];
-    lp.add_constraint(
-        {{vx[a1], 1.0}, {vx[a2], 1.0}, {vx[b1], -1.0}, {vx[b2], -1.0}},
-        Relation::Equal, 0.0);
-    lp.add_constraint(
-        {{vy[a1], 1.0}, {vy[a2], 1.0}, {vy[b1], -1.0}, {vy[b2], -1.0}},
-        Relation::Equal, 0.0);
-  }
+  };
+  LayoutLp layout = build_layout_lp(cc, orders, gu, opts_.mu * wh_tilde / 2.0,
+                                    add_flips_and_nets);
+  vx = std::move(layout.vx);
+  vy = std::move(layout.vy);
 
   // ---- solve -------------------------------------------------------------------
   solver::MilpOptions mopts;
   mopts.max_nodes = max_nodes > 0 ? max_nodes : opts_.max_nodes;
   mopts.deadline = opts_.deadline;
   mopts.cancel = opts_.cancel;
-  solver::MilpSolution sol = solver::solve_milp(lp, mopts);
+  solver::MilpSolution sol = solver::solve_milp(layout.lp, mopts);
   result.status = sol.status;
   result.objective = sol.objective;
   result.bb_nodes += sol.nodes_explored;

@@ -1,126 +1,16 @@
 #include "legal/two_stage_lp.hpp"
 
-#include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
-#include <set>
 
+#include "legal/layout_lp.hpp"
 #include "legal/projection.hpp"
 #include "legal/relative_order.hpp"
 #include "netlist/evaluator.hpp"
 
 namespace aplace::legal {
-namespace {
 
-using netlist::Axis;
-using solver::LpTerm;
 using solver::Relation;
-
-// Shared constraint skeleton between the two stages.
-struct Skeleton {
-  solver::LpProblem lp;
-  std::vector<int> vx, vy;
-  int vW = -1, vH = -1;
-};
-
-Skeleton build_skeleton(const netlist::CompiledCircuit& cc,
-                        const std::vector<PairOrder>& orders, double gu,
-                        double extent_cost) {
-  const netlist::Circuit& c = cc.circuit();
-  const std::size_t n = cc.num_devices();
-  const std::span<const double> dev_w = cc.dev_width();
-  const std::span<const double> dev_h = cc.dev_height();
-  Skeleton s;
-  s.vx.resize(n);
-  s.vy.resize(n);
-  const double inf = solver::kInf;
-  auto gw = [&](std::size_t d) { return dev_w[d] / gu; };
-  auto gh = [&](std::size_t d) { return dev_h[d] / gu; };
-
-  double max_w = 0, max_h = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    s.vx[i] =
-        s.lp.add_variable(gw(i) / 2, inf, 0.0, c.device(DeviceId{i}).name + ".x");
-    s.vy[i] =
-        s.lp.add_variable(gh(i) / 2, inf, 0.0, c.device(DeviceId{i}).name + ".y");
-    max_w = std::max(max_w, gw(i));
-    max_h = std::max(max_h, gh(i));
-  }
-  s.vW = s.lp.add_variable(max_w, inf, extent_cost, "W");
-  s.vH = s.lp.add_variable(max_h, inf, extent_cost, "H");
-
-  for (std::size_t i = 0; i < n; ++i) {
-    s.lp.add_constraint({{s.vx[i], 1.0}, {s.vW, -1.0}}, Relation::LessEq,
-                        -gw(i) / 2);
-    s.lp.add_constraint({{s.vy[i], 1.0}, {s.vH, -1.0}}, Relation::LessEq,
-                        -gh(i) / 2);
-  }
-  for (const PairOrder& po : orders) {
-    const std::size_t a = po.left_or_bottom.index();
-    const std::size_t b = po.right_or_top.index();
-    if (po.horizontal) {
-      s.lp.add_constraint({{s.vx[a], 1.0}, {s.vx[b], -1.0}}, Relation::LessEq,
-                          -(gw(a) + gw(b)) / 2);
-    } else {
-      s.lp.add_constraint({{s.vy[a], 1.0}, {s.vy[b], -1.0}}, Relation::LessEq,
-                          -(gh(a) + gh(b)) / 2);
-    }
-  }
-  for (std::size_t g = 0; g < cc.num_symmetry_groups(); ++g) {
-    const bool vert = cc.sym_axis(g) == Axis::Vertical;
-    const int vm = s.lp.add_variable(0, inf, 0.0, "axis");
-    auto mir_var = [&](std::size_t d) { return vert ? s.vx[d] : s.vy[d]; };
-    auto ort_var = [&](std::size_t d) { return vert ? s.vy[d] : s.vx[d]; };
-    const std::span<const std::uint32_t> pa = cc.sym_pair_a(g);
-    const std::span<const std::uint32_t> pb = cc.sym_pair_b(g);
-    for (std::size_t k = 0; k < pa.size(); ++k) {
-      s.lp.add_constraint(
-          {{mir_var(pa[k]), 1.0}, {mir_var(pb[k]), 1.0}, {vm, -2.0}},
-          Relation::Equal, 0.0);
-      s.lp.add_constraint({{ort_var(pa[k]), 1.0}, {ort_var(pb[k]), -1.0}},
-                          Relation::Equal, 0.0);
-    }
-    for (std::uint32_t d : cc.sym_self(g)) {
-      s.lp.add_constraint({{mir_var(d), 1.0}, {vm, -1.0}}, Relation::Equal,
-                          0.0);
-    }
-  }
-  for (std::size_t q = 0; q < cc.num_centroids(); ++q) {
-    const std::size_t a1 = cc.cent_a1()[q], a2 = cc.cent_a2()[q];
-    const std::size_t b1 = cc.cent_b1()[q], b2 = cc.cent_b2()[q];
-    s.lp.add_constraint({{s.vx[a1], 1.0},
-                         {s.vx[a2], 1.0},
-                         {s.vx[b1], -1.0},
-                         {s.vx[b2], -1.0}},
-                        Relation::Equal, 0.0);
-    s.lp.add_constraint({{s.vy[a1], 1.0},
-                         {s.vy[a2], 1.0},
-                         {s.vy[b1], -1.0},
-                         {s.vy[b2], -1.0}},
-                        Relation::Equal, 0.0);
-  }
-  for (std::size_t k = 0; k < cc.num_alignments(); ++k) {
-    const std::size_t a = cc.align_a()[k], b = cc.align_b()[k];
-    switch (cc.align_kind()[k]) {
-      case netlist::AlignmentKind::Bottom:
-        s.lp.add_constraint({{s.vy[a], 1.0}, {s.vy[b], -1.0}},
-                            Relation::Equal, (gh(a) - gh(b)) / 2);
-        break;
-      case netlist::AlignmentKind::VerticalCenter:
-        s.lp.add_constraint({{s.vx[a], 1.0}, {s.vx[b], -1.0}},
-                            Relation::Equal, 0.0);
-        break;
-      case netlist::AlignmentKind::HorizontalCenter:
-        s.lp.add_constraint({{s.vy[a], 1.0}, {s.vy[b], -1.0}},
-                            Relation::Equal, 0.0);
-        break;
-    }
-  }
-  return s;
-}
-
-}  // namespace
 
 TwoStageLpLegalizer::TwoStageLpLegalizer(
     std::shared_ptr<const netlist::CompiledCircuit> compiled,
@@ -197,7 +87,7 @@ bool TwoStageLpLegalizer::run_stages(const std::vector<PairOrder>& orders,
   const double gu = opts_.grid_pitch;
 
   // ---- stage 1: area compaction (min W + H) ---------------------------------
-  Skeleton s1 = build_skeleton(*compiled_, orders, gu, /*extent_cost=*/1.0);
+  LayoutLp s1 = build_layout_lp(*compiled_, orders, gu, /*extent_cost=*/1.0);
   const solver::LpSolution sol1 = solve_lp(s1.lp);
   result.status = sol1.status;
   if (!sol1.ok()) {
@@ -210,7 +100,7 @@ bool TwoStageLpLegalizer::run_stages(const std::vector<PairOrder>& orders,
   result.stage1_height = H1;
 
   // ---- stage 2: wirelength under the compacted extents -----------------------
-  Skeleton s2 = build_skeleton(*compiled_, orders, gu, /*extent_cost=*/0.0);
+  LayoutLp s2 = build_layout_lp(*compiled_, orders, gu, /*extent_cost=*/0.0);
   solver::LpProblem& lp = s2.lp;
   lp.add_constraint({{s2.vW, 1.0}}, Relation::LessEq,
                     W1 * opts_.area_slack + 1e-9);

@@ -20,10 +20,10 @@
 // Each net's per-pin inner loops exist twice: a scalar reference and a
 // 4-lane simd::Vec4d kernel (per-net max/min shift kept, exp values cached
 // between the value and gradient passes, masked tail for the remainder
-// pins). set_use_simd() switches per instance at runtime — the default
-// follows simd::default_enabled() — and the two paths agree to <= 1e-12
-// relative on every registry circuit (tests/simd_test.cpp). Within one
-// build+path, results stay bit-identical at any thread count.
+// pins). An instance takes the path simd::default_enabled() names when it
+// is constructed, and the two paths agree to <= 1e-12 relative on every
+// registry circuit (tests/simd_test.cpp). Within one build+path, results
+// stay bit-identical at any thread count.
 
 #include <memory>
 #include <span>
@@ -46,12 +46,6 @@ class SmoothWirelength {
     gamma_ = gamma;
   }
   [[nodiscard]] double gamma() const { return gamma_; }
-
-  /// Select the vectorized (true) or scalar-reference (false) inner loops.
-  /// Defaults to simd::default_enabled(). Either path is deterministic;
-  /// they agree to <= 1e-12 relative.
-  void set_use_simd(bool on) { use_simd_ = on; }
-  [[nodiscard]] bool use_simd() const { return use_simd_; }
 
   /// Evaluate at v (size 2n) and *add* the gradient into grad (size 2n).
   /// Returns the smoothed weighted wirelength.
@@ -88,7 +82,7 @@ class SmoothWirelength {
 
   std::shared_ptr<const netlist::CompiledCircuit> compiled_;
   std::size_t max_net_pins_ = 0;
-  bool use_simd_;
+  bool use_simd_;  ///< simd::default_enabled() at construction
 
   // Per-chunk scratch for the parallel path (empty until first used; each
   // instance is driven by one placement flow at a time, so `mutable` here

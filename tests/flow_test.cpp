@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -216,7 +217,28 @@ gnn::TrainOptions quick_training() {
   return t;
 }
 
-TEST(PerfFlowTest, ContextBuildsAndGnnLearnsSomething) {
+// One quick Adder context, built once and shared by the suite's tests.
+class PerfFlowTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    adder_ = std::make_unique<circuits::TestCase>(
+        circuits::make_testcase("Adder"));
+    ctx_ = build_perf_context(adder_->circuit, adder_->spec, quick_dataset(),
+                              quick_training());
+  }
+  static void TearDownTestSuite() {
+    ctx_.reset();
+    adder_.reset();
+  }
+  static const netlist::Circuit& adder() { return adder_->circuit; }
+  static PerfContext& ctx() { return *ctx_; }
+
+ private:
+  static inline std::unique_ptr<circuits::TestCase> adder_;
+  static inline std::unique_ptr<PerfContext> ctx_;
+};
+
+TEST_F(PerfFlowTest, ContextBuildsAndGnnLearnsSomething) {
   circuits::TestCase tc = circuits::make_testcase("CC-OTA");
   auto ctx = build_perf_context(tc.circuit, tc.spec, quick_dataset(),
                                 quick_training());
@@ -227,7 +249,7 @@ TEST(PerfFlowTest, ContextBuildsAndGnnLearnsSomething) {
       << "GNN failed to fit the placement-quality labels at all";
 }
 
-TEST(PerfFlowTest, EPlaceApLegalAndScored) {
+TEST_F(PerfFlowTest, EPlaceApLegalAndScored) {
   circuits::TestCase tc = circuits::make_testcase("CC-OTA");
   auto ctx = build_perf_context(tc.circuit, tc.spec, quick_dataset(),
                                 quick_training());
@@ -239,35 +261,57 @@ TEST(PerfFlowTest, EPlaceApLegalAndScored) {
   EXPECT_LE(r.perf.fom, 1.0);
 }
 
-TEST(PerfFlowTest, PerfDrivenVariantsRunForAllMethods) {
-  circuits::TestCase tc = circuits::make_testcase("Adder");
-  auto ctx = build_perf_context(tc.circuit, tc.spec, quick_dataset(),
-                                quick_training());
-
+TEST_F(PerfFlowTest, PerfDrivenVariantsRunForAllMethods) {
   EPlaceAOptions eopts;
   eopts.candidates = 1;
-  const PerfFlowResult ap = run_eplace_ap(tc.circuit, *ctx, eopts);
+  const PerfFlowResult ap = run_eplace_ap(adder(), ctx(), eopts);
   EXPECT_TRUE(ap.flow.legal(1e-6));
 
-  const PerfFlowResult pw = run_prior_work_perf(tc.circuit, *ctx);
+  const PerfFlowResult pw = run_prior_work_perf(adder(), ctx());
   EXPECT_TRUE(pw.flow.legal(1e-6));
 
   SaFlowOptions sopts;
   sopts.sa.max_moves = 4000;
-  const PerfFlowResult sp = run_sa_perf(tc.circuit, *ctx, sopts, 1.0);
+  const PerfFlowResult sp = run_sa_perf(adder(), ctx(), sopts, 1.0);
   EXPECT_TRUE(sp.flow.legal(1e-6));
 }
 
-TEST(PerfFlowTest, GnnPhiIsProbability) {
-  circuits::TestCase tc = circuits::make_testcase("Adder");
-  auto ctx = build_perf_context(tc.circuit, tc.spec, quick_dataset(),
-                                quick_training());
+TEST_F(PerfFlowTest, GnnPhiIsProbability) {
   SaFlowOptions sopts;
   sopts.sa.max_moves = 2000;
-  const FlowResult r = run_sa(tc.circuit, sopts);
-  const double phi = gnn_phi(*ctx, r.placement);
+  const FlowResult r = run_sa(adder(), sopts);
+  const double phi = gnn_phi(ctx(), r.placement);
   EXPECT_GT(phi, 0.0);
   EXPECT_LT(phi, 1.0);
+}
+
+TEST_F(PerfFlowTest, ForcedPrimaryFailureRecoversViaFallbackChain) {
+  EPlaceAOptions eopts;
+  eopts.candidates = 1;
+  eopts.inject.fail_primary_dp = true;
+  const PerfFlowResult ap = run_eplace_ap(adder(), ctx(), eopts);
+  EXPECT_TRUE(ap.flow.ok()) << ap.flow.status.to_string();
+  EXPECT_TRUE(ap.flow.legal(1e-6));
+  EXPECT_NE(ap.flow.fallback, FallbackLevel::None);
+
+  PriorWorkOptions popts;
+  popts.inject.fail_primary_dp = true;
+  const PerfFlowResult pw = run_prior_work_perf(adder(), ctx(), popts);
+  EXPECT_TRUE(pw.flow.ok()) << pw.flow.status.to_string();
+  EXPECT_TRUE(pw.flow.legal(1e-6));
+  EXPECT_NE(pw.flow.fallback, FallbackLevel::None);
+}
+
+TEST_F(PerfFlowTest, PreCancelledEPlaceApReturnsCancelled) {
+  EPlaceAOptions opts;
+  opts.candidates = 1;
+  opts.cancel = base::CancelToken::make_cancellable();
+  opts.cancel.request_cancel();
+  std::optional<PerfFlowResult> r;
+  EXPECT_NO_THROW(r.emplace(run_eplace_ap(adder(), ctx(), opts)));
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->flow.status.code(), aplace::StatusCode::Cancelled)
+      << r->flow.status.to_string();
 }
 
 }  // namespace

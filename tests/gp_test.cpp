@@ -170,13 +170,13 @@ TEST(EPlaceGpTest, ExtraTermReceivesCalls) {
   opts.num_starts = 1;
   opts.max_iters = 40;
   opts.min_iters = 10;
-  EPlaceGlobalPlacer placer(test::compile(tc.circuit), opts);
   int calls = 0;
-  placer.set_extra_term(
-      [&](std::span<const double>, std::span<double>) {
+  opts.extra_term = std::make_shared<FunctionTerm>(
+      "extra", [&](std::span<const double>, std::span<double>) {
         ++calls;
         return 0.0;
       });
+  EPlaceGlobalPlacer placer(test::compile(tc.circuit), opts);
   (void)placer.run();
   EXPECT_GT(calls, 10);
 }

@@ -36,6 +36,35 @@ using simd::Vec4d;
 
 constexpr double kRelTol = 1e-12;
 
+struct DefaultSimdGuard {
+  bool saved = simd::default_enabled();
+  ~DefaultSimdGuard() { simd::set_default_enabled(saved); }
+};
+
+/// Engines take the path simd::default_enabled() names when they are
+/// constructed, so each parity test builds one scalar and one SIMD
+/// instance under a temporarily switched default.
+template <class Make>
+auto make_with_simd(bool on, Make&& make) {
+  const DefaultSimdGuard guard;
+  simd::set_default_enabled(on);
+  return make();
+}
+
+std::unique_ptr<wirelength::SmoothWirelength> make_wl(
+    bool lse, const netlist::Circuit& c, double gamma, bool simd_on) {
+  return make_with_simd(simd_on, [&] {
+    std::unique_ptr<wirelength::SmoothWirelength> wl;
+    if (lse) {
+      wl = std::make_unique<wirelength::LseWirelength>(test::compile(c));
+    } else {
+      wl = std::make_unique<wirelength::WaWirelength>(test::compile(c));
+    }
+    wl->set_gamma(gamma);
+    return wl;
+  });
+}
+
 /// |a - b| <= tol * max(1, |a|, |b|): the "1e-12 relative" kernel contract
 /// with an absolute floor so near-zero entries compare by absolute error.
 void expect_rel_close(double a, double b, double tol = kRelTol) {
@@ -236,19 +265,12 @@ TEST_P(SimdKernelParityTest, WirelengthScalarVsSimd) {
   const std::vector<double> v = registry_positions(c, 48.0);
 
   for (const bool lse : {false, true}) {
-    std::unique_ptr<wirelength::SmoothWirelength> wl;
-    if (lse) {
-      wl = std::make_unique<wirelength::LseWirelength>(test::compile(c));
-    } else {
-      wl = std::make_unique<wirelength::WaWirelength>(test::compile(c));
-    }
-    wl->set_gamma(0.8);
+    const auto wl_scalar = make_wl(lse, c, 0.8, false);
+    const auto wl_simd = make_wl(lse, c, 0.8, true);
 
     std::vector<double> g_scalar(v.size(), 0.0), g_simd(v.size(), 0.0);
-    wl->set_use_simd(false);
-    const double val_scalar = wl->value_and_grad(v, g_scalar);
-    wl->set_use_simd(true);
-    const double val_simd = wl->value_and_grad(v, g_simd);
+    const double val_scalar = wl_scalar->value_and_grad(v, g_scalar);
+    const double val_simd = wl_simd->value_and_grad(v, g_simd);
 
     ASSERT_TRUE(std::isfinite(val_scalar));
     ASSERT_TRUE(std::isfinite(val_simd));
@@ -263,22 +285,24 @@ TEST_P(SimdKernelParityTest, ElectroDensityScalarVsSimd) {
   const double extent = 64.0;
   const std::vector<double> v = registry_positions(c, extent);
 
-  density::ElectroDensity ed(test::compile(c), {0, 0, extent, extent}, 64,
-                             64, 0.8);
+  const auto make_ed = [&] {
+    return density::ElectroDensity(test::compile(c), {0, 0, extent, extent},
+                                   64, 64, 0.8);
+  };
+  density::ElectroDensity ed_scalar = make_with_simd(false, make_ed);
+  density::ElectroDensity ed_simd = make_with_simd(true, make_ed);
 
-  ed.set_use_simd(false);
   std::vector<double> g_scalar(v.size(), 0.0);
-  const double val_scalar = ed.value_and_grad(v, g_scalar, 1.0);
-  const double ovf_scalar = ed.overflow();
-  const std::vector<double> rho_scalar(ed.rho().data().begin(),
-                                       ed.rho().data().end());
+  const double val_scalar = ed_scalar.value_and_grad(v, g_scalar, 1.0);
+  const double ovf_scalar = ed_scalar.overflow();
+  const std::vector<double> rho_scalar(ed_scalar.rho().data().begin(),
+                                       ed_scalar.rho().data().end());
 
-  ed.set_use_simd(true);
   std::vector<double> g_simd(v.size(), 0.0);
-  const double val_simd = ed.value_and_grad(v, g_simd, 1.0);
-  const double ovf_simd = ed.overflow();
-  const std::vector<double> rho_simd(ed.rho().data().begin(),
-                                     ed.rho().data().end());
+  const double val_simd = ed_simd.value_and_grad(v, g_simd, 1.0);
+  const double ovf_simd = ed_simd.overflow();
+  const std::vector<double> rho_simd(ed_simd.rho().data().begin(),
+                                     ed_simd.rho().data().end());
 
   ASSERT_TRUE(std::isfinite(val_scalar));
   expect_rel_close(val_scalar, val_simd);
@@ -302,7 +326,9 @@ INSTANTIATE_TEST_SUITE_P(FullRegistry, SimdKernelParityTest,
 TEST(SimdFftTest, SpectralTransformsScalarVsSimd) {
   for (const std::size_t n : {std::size_t{4}, std::size_t{8}, std::size_t{32},
                               std::size_t{256}}) {
-    numeric::fft::FftPlan plan(n);
+    const auto make_plan = [n] { return numeric::fft::FftPlan(n); };
+    const numeric::fft::FftPlan plan_scalar = make_with_simd(false, make_plan);
+    const numeric::fft::FftPlan plan_simd = make_with_simd(true, make_plan);
     std::vector<double> in(n);
     for (std::size_t i = 0; i < n; ++i) {
       in[i] = std::sin(0.37 * static_cast<double>(i) + 0.2) +
@@ -314,10 +340,8 @@ TEST(SimdFftTest, SpectralTransformsScalarVsSimd) {
                         static_cast<Fn>(&numeric::fft::FftPlan::dct3),
                         static_cast<Fn>(&numeric::fft::FftPlan::dst3)}) {
       std::vector<double> out_scalar(n), out_simd(n);
-      plan.set_use_simd(false);
-      (plan.*fn)(in.data(), 1, out_scalar.data(), 1);
-      plan.set_use_simd(true);
-      (plan.*fn)(in.data(), 1, out_simd.data(), 1);
+      (plan_scalar.*fn)(in.data(), 1, out_scalar.data(), 1);
+      (plan_simd.*fn)(in.data(), 1, out_simd.data(), 1);
       expect_vectors_close(out_scalar, out_simd);
 
       // Strided (column-transform) layout: stride 3 exercises the scalar
@@ -325,10 +349,8 @@ TEST(SimdFftTest, SpectralTransformsScalarVsSimd) {
       std::vector<double> sin(3 * n, 0.0), s_scalar(3 * n, 0.0),
           s_simd(3 * n, 0.0);
       for (std::size_t i = 0; i < n; ++i) sin[3 * i] = in[i];
-      plan.set_use_simd(false);
-      (plan.*fn)(sin.data(), 3, s_scalar.data(), 3);
-      plan.set_use_simd(true);
-      (plan.*fn)(sin.data(), 3, s_simd.data(), 3);
+      (plan_scalar.*fn)(sin.data(), 3, s_scalar.data(), 3);
+      (plan_simd.*fn)(sin.data(), 3, s_simd.data(), 3);
       expect_vectors_close(s_scalar, s_simd);
     }
   }
@@ -336,8 +358,8 @@ TEST(SimdFftTest, SpectralTransformsScalarVsSimd) {
 
 TEST(SimdFftTest, Dct2Dct3RoundTripWithSimd) {
   const std::size_t n = 64;
-  numeric::fft::FftPlan plan(n);
-  plan.set_use_simd(true);
+  const numeric::fft::FftPlan plan =
+      make_with_simd(true, [n] { return numeric::fft::FftPlan(n); });
   std::vector<double> in(n), spec(n), back(n);
   for (std::size_t i = 0; i < n; ++i) {
     in[i] = std::cos(0.13 * static_cast<double>(i * i % 17));
@@ -378,19 +400,12 @@ TEST(SimdOverflowTest, WirelengthFiniteAtMillionUnitSpread) {
   }
 
   for (const bool lse : {false, true}) {
-    std::unique_ptr<wirelength::SmoothWirelength> wl;
-    if (lse) {
-      wl = std::make_unique<wirelength::LseWirelength>(test::compile(c));
-    } else {
-      wl = std::make_unique<wirelength::WaWirelength>(test::compile(c));
-    }
-    wl->set_gamma(1.0);
+    const auto wl_scalar = make_wl(lse, c, 1.0, false);
+    const auto wl_simd = make_wl(lse, c, 1.0, true);
 
     std::vector<double> g_scalar(v.size(), 0.0), g_simd(v.size(), 0.0);
-    wl->set_use_simd(false);
-    const double val_scalar = wl->value_and_grad(v, g_scalar);
-    wl->set_use_simd(true);
-    const double val_simd = wl->value_and_grad(v, g_simd);
+    const double val_scalar = wl_scalar->value_and_grad(v, g_scalar);
+    const double val_simd = wl_simd->value_and_grad(v, g_simd);
 
     ASSERT_TRUE(std::isfinite(val_scalar));
     ASSERT_TRUE(std::isfinite(val_simd));
@@ -401,17 +416,12 @@ TEST(SimdOverflowTest, WirelengthFiniteAtMillionUnitSpread) {
 
     // At spread >> gamma the smoothed length converges to exact HPWL; for
     // WA from above within a vanishing margin. A loose sanity bracket:
-    const double exact = wl->exact_hpwl(v);
+    const double exact = wl_scalar->exact_hpwl(v);
     EXPECT_NEAR(val_scalar, exact, 1e-6 * exact);
   }
 }
 
 // ---- GP flows end-to-end with SIMD forced on / off --------------------------
-
-struct DefaultSimdGuard {
-  bool saved = simd::default_enabled();
-  ~DefaultSimdGuard() { simd::set_default_enabled(saved); }
-};
 
 TEST(SimdFlowTest, BothGpFlowsLegalWithSimdOnAndOff) {
   DefaultSimdGuard guard;
