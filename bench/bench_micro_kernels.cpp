@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -14,10 +15,12 @@
 #include "base/simd.hpp"
 #include "bench_common.hpp"
 #include "circuits/testcases.hpp"
+#include "density/bell.hpp"
 #include "density/electro.hpp"
 #include "gnn/graph.hpp"
 #include "gnn/model.hpp"
 #include "gp/eplace_gp.hpp"
+#include "gp/gp_options.hpp"
 #include "legal/ilp_detailed.hpp"
 #include "netlist/compiled.hpp"
 #include "netlist/evaluator.hpp"
@@ -487,6 +490,11 @@ auto make_with_simd(bool on, Make&& make) {
 //              a 256x256 bin grid
 //   fft-*      dct2+dct3+dst3 trio at n=256 (the Poisson solve's inner 1D
 //              transforms)
+// plus one value_and_grad of each density model at the GP defaults (32x32
+// bins, region side sqrt(area / utilization)), the grid the flows use:
+//   bell-density     prior work's NTUplace3 bell penalty
+//   electro-density  ePlace-A's electrostatic energy (splat, 3-transform
+//                    spectral solve, footprint-averaged forces)
 // The rows land in BENCH_micro_kernels.json and the *_simd_speedup metrics
 // are gated by scripts/check_bench_regression.py, so losing the vector
 // path (or a build change silently disabling it) fails CI.
@@ -595,6 +603,35 @@ void print_simd_kernel_table(bench::JsonReport& json) {
     const double scalar_us = time(plan_scalar);
     const double simd_us = time(plan_simd);
     row("fft", "n=256", scalar_us, simd_us);
+  }
+
+  // Both density models as GP calls them (SIMD default), one column each.
+  {
+    const gp::GpCommonOptions opts;
+    const double side = std::sqrt(cc->total_device_area() / opts.utilization);
+    const geom::Rect region{0, 0, side, side};
+    const std::size_t n = cc->num_devices();
+    std::vector<double> pos(2 * n), g(2 * n, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double fi = static_cast<double>(i);
+      pos[i] = side * (0.5 + 0.35 * std::sin(1.7 * fi + 0.3));
+      pos[n + i] = side * (0.5 + 0.35 * std::cos(2.3 * fi + 1.1));
+    }
+    density::BellDensity bell(cc, region, opts.bins, opts.bins,
+                              opts.target_density);
+    density::ElectroDensity electro(cc, region, opts.bins, opts.bins,
+                                    opts.target_density);
+    const int reps = bench::quick_mode() ? 300 : 1000;
+    const double bell_us =
+        best_of3(reps, [&] { sink += bell.value_and_grad(pos, g, 1.0); });
+    const double electro_us =
+        best_of3(reps, [&] { sink += electro.value_and_grad(pos, g, 1.0); });
+    std::printf("%-16s %10s   (%zux%zu bins)\n", "density kernel", "eval (us)",
+                opts.bins, opts.bins);
+    std::printf("%-16s %10.2f\n%-16s %10.2f\n", "bell-density", bell_us,
+                "electro-density", electro_us);
+    json.add_timing(largest, "bell-density", bell_us / 1e6);
+    json.add_timing(largest, "electro-density", electro_us / 1e6);
   }
   benchmark::DoNotOptimize(sink);
 }

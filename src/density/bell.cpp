@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/metrics.hpp"
+#include "obs/span.hpp"
+
 namespace aplace::density {
 
 double bell_value(double d, double w, double wb) {
@@ -49,13 +52,40 @@ BellDensity::BellDensity(
       dev_area_(compiled_->dev_area()),
       dmat_(ny, nx),
       occ_(ny, nx),
-      resid_(ny, nx) {
+      resid_(ny, nx),
+      px_(nx),
+      dpx_(nx),
+      py_(ny),
+      dpy_(ny) {
   norm_.assign(dev_w_.size(), 0.0);
   support_.resize(dev_w_.size());
 }
 
+void BellDensity::fill_profiles(std::size_t i, double x, double y,
+                                const Support& s, bool derivatives) {
+  const double wb = grid_.bin_w(), hb = grid_.bin_h();
+  for (std::size_t c = s.cx0; c <= s.cx1; ++c) {
+    const double d = x - grid_.bin_center_x(c);
+    px_[c] = bell_value(d, dev_w_[i], wb);
+    if (derivatives) dpx_[c] = bell_derivative(d, dev_w_[i], wb);
+  }
+  for (std::size_t r = s.cy0; r <= s.cy1; ++r) {
+    const double d = y - grid_.bin_center_y(r);
+    py_[r] = bell_value(d, dev_h_[i], hb);
+    if (derivatives) dpy_[r] = bell_derivative(d, dev_h_[i], hb);
+  }
+}
+
 double BellDensity::value_and_grad(std::span<const double> v,
                                    std::span<double> grad, double scale) {
+  // One histogram sample per eval, as in ElectroDensity.
+  static const obs::Counter evals = obs::counter("density/bell_evals");
+  static const obs::Histogram eval_seconds =
+      obs::histogram("density/bell_eval_seconds");
+  const bool record = obs::enabled();
+  const double obs_t0 = record ? obs::now_seconds() : 0.0;
+  evals.inc();
+
   const std::size_t n = dev_w_.size();
   APLACE_DCHECK(v.size() == 2 * n && grad.size() == v.size());
   const std::size_t nx = grid_.nx(), ny = grid_.ny();
@@ -63,11 +93,11 @@ double BellDensity::value_and_grad(std::span<const double> v,
 
   // Smoothed density D and true occupancy (for overflow); member scratch
   // keeps the hot loop allocation-free. Two passes per device: first to get
-  // the normalizers, second (after D is known) for the gradient.
+  // the normalizers, second (after D is known) for the gradient. The bell
+  // is separable, so each pass evaluates the profile once per support
+  // column (px) and row (py) and forms the bin weight as px * py.
   numeric::Matrix& dmat = dmat_;
   numeric::Matrix& occ = occ_;
-  std::vector<double>& norm = norm_;
-  std::vector<Support>& support = support_;
   dmat.fill(0.0);
   occ.fill(0.0);
 
@@ -77,24 +107,21 @@ double BellDensity::value_and_grad(std::span<const double> v,
     const double ry = dev_h_[i] / 2 + 2 * hb;
     const auto [cx0, cx1] = grid_.x_range(x - rx, x + rx);
     const auto [cy0, cy1] = grid_.y_range(y - ry, y + ry);
-    support[i] = {cx0, cx1, cy0, cy1};
+    support_[i] = {cx0, cx1, cy0, cy1};
+    fill_profiles(i, x, y, support_[i], /*derivatives=*/false);
     double total = 0;
     for (std::size_t r = cy0; r <= cy1; ++r) {
-      const double py = bell_value(y - grid_.bin_center_y(r), dev_h_[i], hb);
+      const double py = py_[r];
       if (py == 0) continue;
-      for (std::size_t c = cx0; c <= cx1; ++c) {
-        const double px = bell_value(x - grid_.bin_center_x(c), dev_w_[i], wb);
-        total += px * py;
-      }
+      for (std::size_t c = cx0; c <= cx1; ++c) total += px_[c] * py;
     }
-    norm[i] = total > 1e-12 ? dev_area_[i] / total : 0.0;
+    norm_[i] = total > 1e-12 ? dev_area_[i] / total : 0.0;
+    const double norm = norm_[i];
     for (std::size_t r = cy0; r <= cy1; ++r) {
-      const double py = bell_value(y - grid_.bin_center_y(r), dev_h_[i], hb);
+      const double py = py_[r];
       if (py == 0) continue;
-      for (std::size_t c = cx0; c <= cx1; ++c) {
-        const double px = bell_value(x - grid_.bin_center_x(c), dev_w_[i], wb);
-        dmat(r, c) += norm[i] * px * py;
-      }
+      double* row = &dmat(r, 0);
+      for (std::size_t c = cx0; c <= cx1; ++c) row[c] += norm * px_[c] * py;
     }
     grid_.splat(geom::Rect::centered({x, y}, dev_w_[i], dev_h_[i]),
                 dev_area_[i], occ);
@@ -125,25 +152,25 @@ double BellDensity::value_and_grad(std::span<const double> v,
   // Gradient.
   for (std::size_t i = 0; i < n; ++i) {
     const double x = v[i], y = v[n + i];
-    const auto [cx0, cx1, cy0, cy1] = support[i];
+    const Support& s = support_[i];
+    fill_profiles(i, x, y, s, /*derivatives=*/true);
+    const double norm = norm_[i];
     double gx = 0, gy = 0;
-    for (std::size_t r = cy0; r <= cy1; ++r) {
-      const double yc = grid_.bin_center_y(r);
-      const double py = bell_value(y - yc, dev_h_[i], hb);
-      const double dpy = bell_derivative(y - yc, dev_h_[i], hb);
-      for (std::size_t c = cx0; c <= cx1; ++c) {
-        const double e = resid(r, c);
+    for (std::size_t r = s.cy0; r <= s.cy1; ++r) {
+      const double py = py_[r], dpy = dpy_[r];
+      const double* row = &resid(r, 0);
+      for (std::size_t c = s.cx0; c <= s.cx1; ++c) {
+        const double e = row[c];
         if (e == 0) continue;
-        const double xc = grid_.bin_center_x(c);
-        const double px = bell_value(x - xc, dev_w_[i], wb);
-        const double dpx = bell_derivative(x - xc, dev_w_[i], wb);
-        gx += 2 * e * norm[i] * dpx * py;
-        gy += 2 * e * norm[i] * px * dpy;
+        const double t = 2 * e * norm;
+        gx += t * dpx_[c] * py;
+        gy += t * px_[c] * dpy;
       }
     }
     grad[i] += scale * gx;
     grad[n + i] += scale * gy;
   }
+  if (record) eval_seconds.record(obs::now_seconds() - obs_t0);
   return value;
 }
 

@@ -8,6 +8,13 @@
 // density of bin b and M_b the uniform expected density. Normalization
 // constants c_i keep each device's total contribution equal to its area and
 // are treated as constants in the gradient (as in NTUplace3).
+//
+// The 2D bell is the product px(col) * py(row) of two 1D profiles, so each
+// evaluation computes bell_value / bell_derivative once per support column
+// and row of a device and forms every bin weight as a product. The sums
+// keep the per-bin kernel's operands and order, so the value, gradient and
+// overflow equal it bit for bit (tests/bell_density_oracle.{hpp,cpp} keeps
+// that kernel as the oracle).
 
 #include <memory>
 #include <span>
@@ -55,6 +62,14 @@ class BellDensity {
   numeric::Matrix dmat_, occ_, resid_;
   std::vector<double> norm_;
   std::vector<Support> support_;
+  // Separable profiles of the device being processed, indexed by bin
+  // column / row over its support: bell value and derivative.
+  std::vector<double> px_, dpx_, py_, dpy_;
+
+  /// Fill px_/py_ (and dpx_/dpy_ when `derivatives`) of device i at (x, y)
+  /// over its support s.
+  void fill_profiles(std::size_t i, double x, double y, const Support& s,
+                     bool derivatives);
 };
 
 }  // namespace aplace::density

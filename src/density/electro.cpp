@@ -62,17 +62,34 @@ void splat_simd(const BinGrid& grid, const geom::Rect& rect, double amount,
   }
 }
 
+// Scalar per-bin reference splat, the twin of splat_simd: one
+// Rect::overlap_area per bin of the rect's range. It stays per bin (not
+// BinGrid::splat's separable loop) so that splat_simd_speedup keeps timing
+// the separable SIMD kernel against the per-bin reference.
+void splat_per_bin(const BinGrid& grid, const geom::Rect& rect, double amount,
+                   numeric::Matrix& into) {
+  if (rect.area() <= 0) return;
+  const auto [cx0, cx1] = grid.x_range(rect.xlo(), rect.xhi());
+  const auto [cy0, cy1] = grid.y_range(rect.ylo(), rect.yhi());
+  const double per_area = amount / rect.area();
+  for (std::size_t r = cy0; r <= cy1; ++r) {
+    for (std::size_t c = cx0; c <= cx1; ++c) {
+      const double ov = grid.bin_rect(r, c).overlap_area(rect);
+      if (ov > 0) into(r, c) += per_area * ov;
+    }
+  }
+}
+
 struct ForceAcc {
-  double psi = 0, ex = 0, ey = 0, area = 0;
+  double ex = 0, ey = 0, area = 0;
 };
 
 // 4-lane separable force interpolation: per-row dot products of the
-// per-column overlaps against the psi/ex/ey rows (three fused accumulators
+// per-column overlaps against the ex/ey rows (two fused accumulators
 // sharing one ovx load), each scaled by the row overlap; the overlapped
 // area factors into (sum ov_x) * (sum ov_y).
-ForceAcc force_simd(const BinGrid& grid, const numeric::Matrix& psi,
-                    const numeric::Matrix& exm, const numeric::Matrix& eym,
-                    const geom::Rect& rect,
+ForceAcc force_simd(const BinGrid& grid, const numeric::Matrix& exm,
+                    const numeric::Matrix& eym, const geom::Rect& rect,
                     std::pair<base::AlignedVec&, base::AlignedVec&> scratch) {
   ForceAcc acc;
   const auto [cx0, cx1] = grid.x_range(rect.xlo(), rect.xhi());
@@ -90,15 +107,13 @@ ForceAcc force_simd(const BinGrid& grid, const numeric::Matrix& psi,
   for (std::size_t r = 0; r < nyd; ++r) {
     const double wy = ovy[r];
     if (wy <= 0) continue;
-    const std::size_t row_off = (cy0 + r) * psi.cols() + cx0;
-    const double* prow = psi.data().data() + row_off;
+    const std::size_t row_off = (cy0 + r) * exm.cols() + cx0;
     const double* xrow = exm.data().data() + row_off;
     const double* yrow = eym.data().data() + row_off;
-    Vec4d ap = Vec4d::zero(), ax = Vec4d::zero(), ay = Vec4d::zero();
+    Vec4d ax = Vec4d::zero(), ay = Vec4d::zero();
     std::size_t j = 0;
     for (; j + 4 <= nxd; j += 4) {
       const Vec4d w = Vec4d::load(ovx + j);
-      ap = Vec4d::fma(w, Vec4d::loadu(prow + j), ap);
       ax = Vec4d::fma(w, Vec4d::loadu(xrow + j), ax);
       ay = Vec4d::fma(w, Vec4d::loadu(yrow + j), ay);
     }
@@ -107,11 +122,9 @@ ForceAcc force_simd(const BinGrid& grid, const numeric::Matrix& psi,
       // a partial copy so the read never crosses the row's end.
       const std::size_t rem = nxd - j;
       const Vec4d w = Vec4d::load(ovx + j);
-      ap = Vec4d::fma(w, Vec4d::load_partial(prow + j, rem), ap);
       ax = Vec4d::fma(w, Vec4d::load_partial(xrow + j, rem), ax);
       ay = Vec4d::fma(w, Vec4d::load_partial(yrow + j, rem), ay);
     }
-    acc.psi += wy * simd::hsum_ordered(ap);
     acc.ex += wy * simd::hsum_ordered(ax);
     acc.ey += wy * simd::hsum_ordered(ay);
   }
@@ -131,7 +144,6 @@ ElectroDensity::ElectroDensity(
       basis_y_(ny),
       use_simd_(simd::default_enabled()),
       rho_(ny, nx),
-      psi_(ny, nx),
       ex_(ny, nx),
       ey_(ny, nx),
       occupancy_(ny, nx) {
@@ -160,7 +172,6 @@ ElectroDensity::ElectroDensity(
   if (chunks > 1) {
     rho_part_.assign(chunks, numeric::Matrix(ny, nx));
     occ_part_.assign(chunks, numeric::Matrix(ny, nx));
-    energy_part_.assign(chunks, 0.0);
   }
   scratch_.resize(std::max<std::size_t>(chunks, 1));
   for (DevScratch& s : scratch_) {
@@ -200,8 +211,8 @@ void ElectroDensity::build_density(std::span<const double> v) {
         splat_simd(grid_, eff, d.charge, rho, {s.ovx, s.ovy});
         splat_simd(grid_, real, d.charge, occ, {s.ovx, s.ovy});
       } else {
-        grid_.splat(eff, d.charge, rho);
-        grid_.splat(real, d.charge, occ);
+        splat_per_bin(grid_, eff, d.charge, rho);
+        splat_per_bin(grid_, real, d.charge, occ);
       }
     }
   };
@@ -236,8 +247,11 @@ void ElectroDensity::build_density(std::span<const double> v) {
       }
     });
   }
-  // Convert charge per bin into density (charge / bin area).
-  for (double& x : rho_.data()) x /= grid_.bin_area();
+  // Convert charge per bin into density (charge / bin area). The divisor
+  // is hoisted: a store to rho_ could alias grid_'s extents, so the call
+  // inside the loop would be re-evaluated on every bin.
+  const double bin_area = grid_.bin_area();
+  for (double& x : rho_.data()) x /= bin_area;
 
   // --- overflow metric ------------------------------------------------------
   // Analog scale: devices are much larger than bins, so a bin interior to a
@@ -269,54 +283,57 @@ double ElectroDensity::value_and_grad(std::span<const double> v,
   build_density(v);
 
   // --- spectral Poisson solve ----------------------------------------------
-  // All transforms run in place on the member matrices: psi_ temporarily
-  // holds the DCT coefficients a, from which the three synthesis inputs are
-  // produced, so the whole solve allocates nothing.
+  // All transforms run in place on the member matrices: ex_ first holds the
+  // DCT coefficients a, from which both field synthesis inputs are
+  // produced, so the whole solve allocates nothing. The energy comes from
+  // the coefficients (Parseval on the DCT basis): with psi = sum a/w^2 cos
+  // cos and rho = sum a cos cos, sum_b rho_b psi_b = Nx Ny sum c_u c_v
+  // a^2 / w^2, c_0 = 1, c_k = 1/2. It feeds traces only (GP reads the
+  // gradient), so the potential itself is never synthesized.
   using namespace numeric::spectral;
   const std::size_t nx = grid_.nx(), ny = grid_.ny();
   const double pi = std::numbers::pi;
 
-  std::copy(rho_.data().begin(), rho_.data().end(), psi_.data().begin());
-  dct2d_inplace(psi_, basis_x_, basis_y_);
+  std::copy(rho_.data().begin(), rho_.data().end(), ex_.data().begin());
+  dct2d_inplace(ex_, basis_x_, basis_y_);
+  double weighted = 0;  // sum c_u c_v a^2 / w^2
   for (std::size_t r = 0; r < ny; ++r) {
     const double wv = pi * static_cast<double>(r) / static_cast<double>(ny) /
                       grid_.bin_h();
+    const double cv = r == 0 ? 1.0 : 0.5;
     for (std::size_t c = 0; c < nx; ++c) {
       const double wu = pi * static_cast<double>(c) / static_cast<double>(nx) /
                         grid_.bin_w();
       const double w2 = wu * wu + wv * wv;
       if (w2 <= 0) {  // (0,0): mean removed
-        psi_(r, c) = 0.0;
         ex_(r, c) = 0.0;
         ey_(r, c) = 0.0;
         continue;
       }
-      const double coef = psi_(r, c) / w2;
-      psi_(r, c) = coef;
+      const double a = ex_(r, c);
+      const double coef = a / w2;
+      weighted += (c == 0 ? cv : 0.5 * cv) * (a * coef);
       ex_(r, c) = coef * wu;
       ey_(r, c) = coef * wv;
     }
   }
-  idct2d_inplace(psi_, basis_x_, basis_y_);
   isxcy2d_inplace(ex_, basis_x_, basis_y_);
   icxsy2d_inplace(ey_, basis_x_, basis_y_);
+  const double energy = 0.5 * grid_.bin_area() * static_cast<double>(nx) *
+                        static_cast<double>(ny) * weighted;
 
-  // --- energy and per-device forces ----------------------------------------
-  // Gradient entries are disjoint per device; the energy sum keeps one
-  // partial per fixed chunk and reduces them in chunk order (bit-identical
-  // for any thread count).
+  // --- per-device forces ---------------------------------------------------
+  // Gradient entries are disjoint per device, so the chunks of the parallel
+  // path write without reduction (bit-identical for any thread count).
   const bool use_simd = use_simd_;
   auto force_range = [&](std::size_t lo, std::size_t hi, DevScratch& s) {
-    double energy_acc = 0;
     for (std::size_t i = lo; i < hi; ++i) {
       const DeviceInfo& d = devices_[i];
       const geom::Point c = clamped_center({v[i], v[n + i]}, d);
       const geom::Rect rect = geom::Rect::centered(c, d.w, d.h);
-      double psi_acc = 0, ex_acc = 0, ey_acc = 0, area_acc = 0;
+      double ex_acc = 0, ey_acc = 0, area_acc = 0;
       if (use_simd) {
-        const ForceAcc acc =
-            force_simd(grid_, psi_, ex_, ey_, rect, {s.ovx, s.ovy});
-        psi_acc = acc.psi;
+        const ForceAcc acc = force_simd(grid_, ex_, ey_, rect, {s.ovx, s.ovy});
         ex_acc = acc.ex;
         ey_acc = acc.ey;
         area_acc = acc.area;
@@ -327,7 +344,6 @@ double ElectroDensity::value_and_grad(std::span<const double> v,
           for (std::size_t cc = cx0; cc <= cx1; ++cc) {
             const double ov = grid_.bin_rect(r, cc).overlap_area(rect);
             if (ov <= 0) continue;
-            psi_acc += ov * psi_(r, cc);
             ex_acc += ov * ex_(r, cc);
             ey_acc += ov * ey_(r, cc);
             area_acc += ov;
@@ -336,26 +352,21 @@ double ElectroDensity::value_and_grad(std::span<const double> v,
       }
       if (area_acc <= 0) continue;  // region degenerate beyond clamping
       const double q_over_a = d.charge / area_acc;
-      energy_acc += 0.5 * q_over_a * psi_acc;
       grad[i] += scale * (-q_over_a * ex_acc);
       grad[n + i] += scale * (-q_over_a * ey_acc);
     }
-    return energy_acc;
   };
   const std::size_t chunks = base::ThreadPool::chunk_count(n, kDeviceGrain);
-  base::ThreadPool& pool = base::ThreadPool::global();
-  double energy = 0;
   if (chunks <= 1) {
-    energy = force_range(0, n, scratch_[0]);
+    force_range(0, n, scratch_[0]);
   } else {
-    pool.parallel_for(0, chunks, 1, [&](std::size_t c0, std::size_t c1) {
-      for (std::size_t c = c0; c < c1; ++c) {
-        energy_part_[c] =
-            force_range(c * kDeviceGrain, std::min(n, (c + 1) * kDeviceGrain),
-                        scratch_[c]);
-      }
-    });
-    for (std::size_t c = 0; c < chunks; ++c) energy += energy_part_[c];
+    base::ThreadPool::global().parallel_for(
+        0, chunks, 1, [&](std::size_t c0, std::size_t c1) {
+          for (std::size_t c = c0; c < c1; ++c) {
+            force_range(c * kDeviceGrain,
+                        std::min(n, (c + 1) * kDeviceGrain), scratch_[c]);
+          }
+        });
   }
   if (record) eval_seconds.record(obs::now_seconds() - obs_t0);
   return energy;

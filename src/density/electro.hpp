@@ -13,10 +13,19 @@
 // removes the mean charge as Neumann solvability requires). The potential
 // energy N(v) = 1/2 sum_i q_i psi(x_i) is the smoothed overlap term of the
 // placement objective; its gradient w.r.t. a device center is -q_i * E
-// averaged over the device footprint.
+// averaged over the device footprint. Since the footprints that splat the
+// charge also average the potential, N = (A_bin/2) sum_b rho_b psi_b, and
+// DCT orthogonality turns that into a sum over the coefficients:
+//
+//   N = (A_bin/2) Nx Ny sum_{(u,v) != 0} c_u c_v a_{u,v}^2 / w_{u,v}^2,
+//   c_0 = 1, c_k = 1/2,
+//
+// so psi itself is never synthesized: each evaluation runs three 2D
+// transforms (one analysis, two field syntheses). The optimizer reads only
+// the gradient; N feeds the objective traces.
 //
 // The bilinear splat and the force interpolation exist twice: the scalar
-// per-bin reference (BinGrid::splat / overlap_area loops) and a 4-lane
+// per-bin reference (Rect::overlap_area per bin) and a 4-lane
 // simd::Vec4d kernel that exploits separability — overlap(bin, rect) =
 // ov_x(col) * ov_y(row) exactly — precomputing per-column overlaps once per
 // device and streaming each bin row 4 columns at a time (cache-blocked by
@@ -70,7 +79,6 @@ class ElectroDensity {
 
   /// Last computed per-bin charge density (for tests / inspection).
   [[nodiscard]] const numeric::Matrix& rho() const { return rho_; }
-  [[nodiscard]] const numeric::Matrix& potential() const { return psi_; }
   [[nodiscard]] const numeric::Matrix& field_x() const { return ex_; }
   [[nodiscard]] const numeric::Matrix& field_y() const { return ey_; }
 
@@ -101,7 +109,7 @@ class ElectroDensity {
 
   // Scratch matrices reused across evaluations: value_and_grad performs no
   // heap allocation after construction (the Nesterov hot loop).
-  numeric::Matrix rho_, psi_, ex_, ey_, occupancy_;
+  numeric::Matrix rho_, ex_, ey_, occupancy_;
   double overflow_ = 1.0;
 
   // Parallel decomposition: devices are cut into fixed chunks of
@@ -110,7 +118,6 @@ class ElectroDensity {
   // Small circuits have exactly one chunk and take the direct serial path.
   static constexpr std::size_t kDeviceGrain = 256;
   std::vector<numeric::Matrix> rho_part_, occ_part_;
-  std::vector<double> energy_part_;
   std::vector<DevScratch> scratch_;  // one per chunk (>= 1)
 };
 

@@ -99,9 +99,17 @@ IlpResult IlpDetailedPlacer::place(std::span<const double> gp_positions) const {
       pos[i] = sol.x[vx[i]] * gu;
       pos[n + i] = sol.x[vy[i]] * gu;
     }
-    orders = reduce_transitive(
+    std::vector<PairOrder> next = reduce_transitive(
         derive_pair_orders(c, pos, std::numeric_limits<double>::infinity()),
         n);
+    // Unchanged orders with the flips already fixed (every round after
+    // round 0, or round 0 itself when nothing flips) make the next round's
+    // LP this round's LP again: it could only repeat this objective and
+    // stop, so stop without solving it.
+    const bool same_lp =
+        (round > 0 || !opts_.enable_flipping) && next == orders;
+    orders = std::move(next);
+    if (same_lp) break;
   }
 
   // --- critical-chain reshaping ------------------------------------------------

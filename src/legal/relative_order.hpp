@@ -20,6 +20,8 @@ struct PairOrder {
   DeviceId left_or_bottom;
   DeviceId right_or_top;
   bool horizontal = true;  ///< true: member of P^H, false: P^V
+
+  friend bool operator==(const PairOrder&, const PairOrder&) = default;
 };
 
 /// Derive separation constraints for pairs that are overlapping or within

@@ -47,6 +47,8 @@ MilpSolution solve_milp(const LpProblem& p, MilpOptions opts) {
   bool truncated = false;
 
   LpProblem work = p;  // bounds mutated per node, structure shared
+  // The root node solves p itself; the rounding fallback reuses its answer.
+  std::optional<LpSolution> root;
 
   while (!stack.empty() && best.nodes_explored < opts.max_nodes) {
     if (opts.deadline.expired() || opts.cancel.cancelled()) {
@@ -76,6 +78,7 @@ MilpSolution solve_milp(const LpProblem& p, MilpOptions opts) {
     if (!bounds_ok) continue;
 
     const LpSolution rel = solve_lp(work, opts.simplex);
+    if (node.bounds.empty()) root = rel;
     if (rel.status == LpStatus::Unbounded) {
       // MILP unbounded only if relaxation unbounded at the root.
       if (best.status == LpStatus::Infeasible && node.bounds.empty()) {
@@ -116,10 +119,11 @@ MilpSolution solve_milp(const LpProblem& p, MilpOptions opts) {
   if (truncated) truncations.inc();
 
   if (best.status != LpStatus::Optimal) {
-    // Rounding fallback: solve the relaxation, fix every integer variable to
-    // its rounded value, re-solve. Guarantees an answer when fixing keeps
-    // the problem feasible (flipping binaries always do).
-    const LpSolution rel = solve_lp(p, opts.simplex);
+    // Rounding fallback: take the relaxation (the root node's solve, unless
+    // the budget ran out before the root), fix every integer variable to its
+    // rounded value, re-solve. Guarantees an answer when fixing keeps the
+    // problem feasible (flipping binaries always do).
+    const LpSolution rel = root ? std::move(*root) : solve_lp(p, opts.simplex);
     if (rel.ok()) {
       bool roundable = true;
       for (std::size_t j = 0; j < p.num_variables(); ++j) {

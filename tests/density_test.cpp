@@ -3,9 +3,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <numbers>
+
+#include "bell_density_oracle.hpp"
+#include "circuits/testcases.hpp"
 #include "density/bell.hpp"
 #include "density/bin_grid.hpp"
 #include "density/electro.hpp"
+#include "numeric/rng.hpp"
+#include "numeric/spectral.hpp"
 #include "test_util.hpp"
 
 namespace aplace::density {
@@ -218,6 +228,187 @@ TEST(BellDensityTest, GradientMatchesFiniteDifference) {
     EXPECT_NEAR(g[i], fd[i], 0.2 * std::abs(fd[i]) + 0.05) << i;
   }
 }
+
+// ---- separable bell kernel vs. the per-bin oracle ---------------------------
+
+// The four placement shapes the oracle comparison sweeps: devices piled at
+// the center (the GP start), spread over the region, partly escaped past
+// its edges (clamped bin ranges), and uniformly random.
+enum class Shape : std::uint8_t { Clustered, Spread, Escaped, Random };
+constexpr Shape kShapes[] = {Shape::Clustered, Shape::Spread, Shape::Escaped,
+                             Shape::Random};
+
+const char* shape_name(Shape shape) {
+  switch (shape) {
+    case Shape::Clustered: return "clustered";
+    case Shape::Spread: return "spread";
+    case Shape::Escaped: return "escaped";
+    case Shape::Random: return "random";
+  }
+  return "?";
+}
+
+std::vector<double> shaped_positions(Shape shape, std::size_t n, double side) {
+  std::vector<double> v(2 * n);
+  numeric::Rng rng(17);
+  const double golden = std::numbers::pi * (3.0 - std::sqrt(5.0));
+  for (std::size_t i = 0; i < n; ++i) {
+    const double fi = static_cast<double>(i);
+    double x = 0, y = 0;
+    switch (shape) {
+      case Shape::Clustered: {
+        const double r = 0.02 * side * std::sqrt(fi + 0.5);
+        x = 0.5 * side + r * std::cos(golden * fi);
+        y = 0.5 * side + r * std::sin(golden * fi);
+        break;
+      }
+      case Shape::Spread:
+        x = side * (0.5 + 0.45 * std::sin(1.7 * fi + 0.3));
+        y = side * (0.5 + 0.45 * std::cos(2.3 * fi + 1.1));
+        break;
+      case Shape::Escaped:
+        x = side * (0.5 + 0.8 * std::sin(1.3 * fi + 0.7));
+        y = side * (0.5 + 0.8 * std::cos(0.9 * fi + 0.2));
+        if (i % 3 == 0) x += (i % 2 == 0 ? -1.0 : 1.0) * side;
+        break;
+      case Shape::Random:
+        x = rng.uniform(0.0, side);
+        y = rng.uniform(0.0, side);
+        break;
+    }
+    v[i] = x;
+    v[n + i] = y;
+  }
+  return v;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+class BellOracleTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(BellOracleTest, SeparableKernelMatchesPerBinOracleBitwise) {
+  const circuits::TestCase tc = circuits::make_testcase(GetParam());
+  const auto cc = test::compile(tc.circuit);
+  const std::size_t n = cc->num_devices();
+  const double side = std::sqrt(cc->total_device_area() / 0.5);
+  const geom::Rect region{0, 0, side, side};
+  for (const std::size_t bins : {16u, 32u, 64u}) {
+    BellDensity bd(cc, region, bins, bins, 0.8);
+    for (const Shape shape : kShapes) {
+      const std::vector<double> v = shaped_positions(shape, n, side);
+      // Start from a nonzero gradient: both kernels add scale * grad.
+      std::vector<double> g(2 * n), g_ref(2 * n);
+      for (std::size_t k = 0; k < 2 * n; ++k) {
+        g[k] = g_ref[k] = 0.125 * static_cast<double>(k % 7) - 0.3;
+      }
+      const double value = bd.value_and_grad(v, g, 0.7);
+      const oracle::BellEval ref =
+          oracle::bell_value_and_grad(*cc, bd.grid(), v, g_ref, 0.7);
+      const std::string where = GetParam() + " bins=" + std::to_string(bins) +
+                                " shape=" + shape_name(shape);
+      EXPECT_GT(ref.value + ref.overflow, 0.0) << where;
+      EXPECT_EQ(bits(value), bits(ref.value)) << where;
+      EXPECT_EQ(bits(bd.overflow()), bits(ref.overflow)) << where;
+      for (std::size_t k = 0; k < 2 * n; ++k) {
+        ASSERT_EQ(bits(g[k]), bits(g_ref[k])) << where << " k=" << k;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllCircuits, BellOracleTest,
+                         ::testing::ValuesIn(circuits::testcase_names()),
+                         [](const auto& info) {
+                           std::string name = info.param;
+                           for (char& ch : name) {
+                             if (ch == '-') ch = '_';
+                           }
+                           return name;
+                         });
+
+// ---- spectral energy vs. the spatial formula --------------------------------
+
+// N = 1/2 sum_i (q_i / A_i) sum_b ov_ib psi_b over the inflated, clamped
+// footprints: the per-device potential average value_and_grad used before
+// it took N from the DCT coefficients. psi is synthesized here from rho.
+double spatial_energy(const ElectroDensity& ed,
+                      const netlist::CompiledCircuit& cc,
+                      std::span<const double> v) {
+  const BinGrid& grid = ed.grid();
+  const std::size_t nx = grid.nx(), ny = grid.ny();
+  const numeric::spectral::Basis bx(nx), by(ny);
+  numeric::Matrix psi = numeric::spectral::dct2d(ed.rho(), bx, by);
+  for (std::size_t r = 0; r < ny; ++r) {
+    const double wv = std::numbers::pi * static_cast<double>(r) /
+                      static_cast<double>(ny) / grid.bin_h();
+    for (std::size_t c = 0; c < nx; ++c) {
+      const double wu = std::numbers::pi * static_cast<double>(c) /
+                        static_cast<double>(nx) / grid.bin_w();
+      const double w2 = wu * wu + wv * wv;
+      psi(r, c) = w2 > 0 ? psi(r, c) / w2 : 0.0;
+    }
+  }
+  psi = numeric::spectral::idct2d(psi, bx, by);
+
+  const std::size_t n = cc.num_devices();
+  const geom::Rect& rg = grid.region();
+  double energy = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double w = std::max(cc.dev_width()[i],
+                              std::numbers::sqrt2 * grid.bin_w());
+    const double h = std::max(cc.dev_height()[i],
+                              std::numbers::sqrt2 * grid.bin_h());
+    const double x = std::clamp(v[i], rg.xlo() + w / 2, rg.xhi() - w / 2);
+    const double y = std::clamp(v[n + i], rg.ylo() + h / 2, rg.yhi() - h / 2);
+    const geom::Rect rect = geom::Rect::centered({x, y}, w, h);
+    const auto [cx0, cx1] = grid.x_range(rect.xlo(), rect.xhi());
+    const auto [cy0, cy1] = grid.y_range(rect.ylo(), rect.yhi());
+    double psi_acc = 0, area_acc = 0;
+    for (std::size_t r = cy0; r <= cy1; ++r) {
+      for (std::size_t c = cx0; c <= cx1; ++c) {
+        const double ov = grid.bin_rect(r, c).overlap_area(rect);
+        if (ov <= 0) continue;
+        psi_acc += ov * psi(r, c);
+        area_acc += ov;
+      }
+    }
+    energy += 0.5 * (cc.dev_area()[i] / area_acc) * psi_acc;
+  }
+  return energy;
+}
+
+class SpectralEnergyTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(SpectralEnergyTest, MatchesSpatialFormula) {
+  const circuits::TestCase tc = circuits::make_testcase(GetParam());
+  const auto cc = test::compile(tc.circuit);
+  const std::size_t n = cc->num_devices();
+  const double side = std::sqrt(cc->total_device_area() / 0.5);
+  for (const std::size_t bins : {16u, 32u, 64u}) {
+    ElectroDensity ed(cc, {0, 0, side, side}, bins, bins, 0.8);
+    for (const Shape shape : kShapes) {
+      const std::vector<double> v = shaped_positions(shape, n, side);
+      std::vector<double> g(2 * n, 0.0);
+      const double energy = ed.value_and_grad(v, g, 1.0);
+      const double ref = spatial_energy(ed, *cc, v);
+      const std::string where = GetParam() + " bins=" + std::to_string(bins) +
+                                " shape=" + shape_name(shape);
+      ASSERT_GT(ref, 0.0) << where;
+      EXPECT_LE(std::abs(energy - ref), 1e-10 * ref)
+          << where << " spectral=" << energy << " spatial=" << ref;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllCircuits, SpectralEnergyTest,
+                         ::testing::ValuesIn(circuits::testcase_names()),
+                         [](const auto& info) {
+                           std::string name = info.param;
+                           for (char& ch : name) {
+                             if (ch == '-') ch = '_';
+                           }
+                           return name;
+                         });
 
 }  // namespace
 }  // namespace aplace::density
