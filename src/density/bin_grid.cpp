@@ -45,31 +45,10 @@ void BinGrid::splat(const geom::Rect& rect, double amount,
   const auto [cx0, cx1] = x_range(rect.xlo(), rect.xhi());
   const auto [cy0, cy1] = y_range(rect.ylo(), rect.yhi());
   const double per_area = amount / rect.area();
-  // The overlap is separable: Rect::overlap_area forms dx * dy from the
-  // column's x interval and the row's y interval. Each bin receives one add
-  // per call, so the x overlaps are formed once per block of columns and
-  // reused on every row (a stack block keeps splat allocation-free and
-  // safe to call from several threads).
-  constexpr std::size_t kBlock = 64;
-  double dx[kBlock];
-  for (std::size_t b0 = cx0; b0 <= cx1; b0 += kBlock) {
-    const std::size_t b1 = std::min(cx1, b0 + kBlock - 1);
-    for (std::size_t c = b0; c <= b1; ++c) {
-      const double lo = region_.xlo() + static_cast<double>(c) * bin_w_;
-      dx[c - b0] = std::min(lo + bin_w_, rect.xhi()) - std::max(lo, rect.xlo());
-    }
-    for (std::size_t r = cy0; r <= cy1; ++r) {
-      const double lo = region_.ylo() + static_cast<double>(r) * bin_h_;
-      const double dy =
-          std::min(lo + bin_h_, rect.yhi()) - std::max(lo, rect.ylo());
-      if (!(dy > 0)) continue;
-      double* row = &into(r, 0);
-      for (std::size_t c = b0; c <= b1; ++c) {
-        const double d = dx[c - b0];
-        if (!(d > 0)) continue;
-        const double ov = d * dy;
-        if (ov > 0) row[c] += per_area * ov;
-      }
+  for (std::size_t r = cy0; r <= cy1; ++r) {
+    for (std::size_t c = cx0; c <= cx1; ++c) {
+      const double ov = bin_rect(r, c).overlap_area(rect);
+      if (ov > 0) into(r, c) += per_area * ov;
     }
   }
 }

@@ -41,9 +41,6 @@ class BinGrid {
   /// Accumulate `amount` distributed over rect ∩ grid proportionally to
   /// overlap area into `into` (rows=ny, cols=nx). Area fully outside the
   /// region is dropped (callers keep devices inside via boundary penalties).
-  /// The overlap is separable: x overlaps are formed once per column and y
-  /// overlaps once per row, each bin adding per_area * (dx * dy) exactly as
-  /// one Rect::overlap_area per bin would.
   void splat(const geom::Rect& rect, double amount,
              numeric::Matrix& into) const;
 

@@ -62,24 +62,6 @@ void splat_simd(const BinGrid& grid, const geom::Rect& rect, double amount,
   }
 }
 
-// Scalar per-bin reference splat, the twin of splat_simd: one
-// Rect::overlap_area per bin of the rect's range. It stays per bin (not
-// BinGrid::splat's separable loop) so that splat_simd_speedup keeps timing
-// the separable SIMD kernel against the per-bin reference.
-void splat_per_bin(const BinGrid& grid, const geom::Rect& rect, double amount,
-                   numeric::Matrix& into) {
-  if (rect.area() <= 0) return;
-  const auto [cx0, cx1] = grid.x_range(rect.xlo(), rect.xhi());
-  const auto [cy0, cy1] = grid.y_range(rect.ylo(), rect.yhi());
-  const double per_area = amount / rect.area();
-  for (std::size_t r = cy0; r <= cy1; ++r) {
-    for (std::size_t c = cx0; c <= cx1; ++c) {
-      const double ov = grid.bin_rect(r, c).overlap_area(rect);
-      if (ov > 0) into(r, c) += per_area * ov;
-    }
-  }
-}
-
 struct ForceAcc {
   double ex = 0, ey = 0, area = 0;
 };
@@ -211,8 +193,8 @@ void ElectroDensity::build_density(std::span<const double> v) {
         splat_simd(grid_, eff, d.charge, rho, {s.ovx, s.ovy});
         splat_simd(grid_, real, d.charge, occ, {s.ovx, s.ovy});
       } else {
-        splat_per_bin(grid_, eff, d.charge, rho);
-        splat_per_bin(grid_, real, d.charge, occ);
+        grid_.splat(eff, d.charge, rho);
+        grid_.splat(real, d.charge, occ);
       }
     }
   };

@@ -13,19 +13,24 @@
 // removes the mean charge as Neumann solvability requires). The potential
 // energy N(v) = 1/2 sum_i q_i psi(x_i) is the smoothed overlap term of the
 // placement objective; its gradient w.r.t. a device center is -q_i * E
-// averaged over the device footprint. Since the footprints that splat the
-// charge also average the potential, N = (A_bin/2) sum_b rho_b psi_b, and
-// DCT orthogonality turns that into a sum over the coefficients:
+// averaged over the device footprint. The footprints that splat the
+// charge also average the potential, so N = (A_bin/2) sum_b rho_b psi_b
+// whenever every footprint lies inside the region (its in-region overlap
+// equals its area), and DCT orthogonality turns that into a sum over the
+// coefficients:
 //
 //   N = (A_bin/2) Nx Ny sum_{(u,v) != 0} c_u c_v a_{u,v}^2 / w_{u,v}^2,
 //   c_0 = 1, c_k = 1/2,
 //
 // so psi itself is never synthesized: each evaluation runs three 2D
-// transforms (one analysis, two field syntheses). The optimizer reads only
-// the gradient; N feeds the objective traces.
+// transforms (one analysis, two field syntheses). A device wider or taller
+// than the region is centered and its footprint sticks out; the sum then
+// weighs its potential average by the footprint area instead of the
+// in-region overlap. The optimizer reads only the gradient; N feeds the
+// objective traces.
 //
 // The bilinear splat and the force interpolation exist twice: the scalar
-// per-bin reference (Rect::overlap_area per bin) and a 4-lane
+// per-bin reference (BinGrid::splat / overlap_area loops) and a 4-lane
 // simd::Vec4d kernel that exploits separability — overlap(bin, rect) =
 // ov_x(col) * ov_y(row) exactly — precomputing per-column overlaps once per
 // device and streaming each bin row 4 columns at a time (cache-blocked by

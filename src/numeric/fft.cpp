@@ -11,35 +11,6 @@ namespace aplace::numeric::fft {
 
 using simd::Vec4d;
 
-namespace {
-
-// Element t of four lines: p[t * stride + l * lane] for lane l. Columns of
-// a row-major matrix (lane == 1) load and store as one vector; rows gather
-// and scatter lane by lane.
-Vec4d load_lines(const double* p, std::size_t lane) {
-  if (lane == 1) return Vec4d::loadu(p);
-  return Vec4d::set(p[0], p[lane], p[2 * lane], p[3 * lane]);
-}
-
-void store_lines(Vec4d v, double* p, std::size_t lane) {
-  if (lane == 1) {
-    v.storeu(p);
-    return;
-  }
-  double tmp[4];
-  v.storeu(tmp);
-  p[0] = tmp[0];
-  p[lane] = tmp[1];
-  p[2 * lane] = tmp[2];
-  p[3 * lane] = tmp[3];
-}
-
-// First k the per-line stride-1 twiddle loops leave to the scalar tail:
-// their 4-wide blocks start at k = 1 and stop while k + 4 <= n.
-std::size_t fused_end(std::size_t n) { return 1 + (n - 1) / 4 * 4; }
-
-}  // namespace
-
 std::size_t next_pow2(std::size_t n) {
   std::size_t p = 2;
   while (p < n) p <<= 1;
@@ -53,9 +24,7 @@ FftPlan::FftPlan(std::size_t n)
       qre_(n),
       qim_(n),
       re_(n),
-      im_(n),
-      re4_(4 * n),
-      im4_(4 * n) {
+      im_(n) {
   APLACE_CHECK_MSG(is_pow2(n), "FftPlan needs a power-of-two size >= 2");
   const double pi = std::numbers::pi;
 
@@ -234,126 +203,6 @@ void FftPlan::dst3(const double* in, std::size_t in_stride, double* out,
     im_[k] = qim_[k] * x - qre_[k] * y;
   }
   synthesize(out, out_stride, /*alternate=*/true);
-}
-
-// ---- lane-batched transforms ------------------------------------------------
-// Lane l of every vector below does what the per-line code does to line l:
-// the butterflies are separate multiplies and adds in both (fma only where
-// the per-line code calls Vec4d::fma), so no lane can round differently.
-
-void FftPlan::transform_x4(bool inverse) const {
-  double* re = re4_.data();
-  double* im = im4_.data();
-  for (std::size_t i = 0; i < n_; ++i) {
-    const std::size_t j = rev_[i];
-    if (i < j) {
-      const Vec4d ri = Vec4d::load(re + 4 * i), ii = Vec4d::load(im + 4 * i);
-      Vec4d::load(re + 4 * j).store(re + 4 * i);
-      Vec4d::load(im + 4 * j).store(im + 4 * i);
-      ri.store(re + 4 * j);
-      ii.store(im + 4 * j);
-    }
-  }
-  for (std::size_t half = 1; half < n_; half <<= 1) {
-    const std::size_t len = half << 1;
-    const double* wr = &wre_[half - 1];
-    const double* wi = &wim_[half - 1];
-    for (std::size_t m = 0; m < half; ++m) {
-      const Vec4d wrv = Vec4d::broadcast(wr[m]);
-      const Vec4d wiv = Vec4d::broadcast(inverse ? -wi[m] : wi[m]);
-      for (std::size_t start = 0; start < n_; start += len) {
-        double* ri = re + 4 * (start + m);
-        double* ii = im + 4 * (start + m);
-        double* rj = ri + 4 * half;
-        double* ij = ii + 4 * half;
-        const Vec4d rej = Vec4d::load(rj);
-        const Vec4d imj = Vec4d::load(ij);
-        const Vec4d tr = wrv * rej - wiv * imj;
-        const Vec4d ti = wrv * imj + wiv * rej;
-        const Vec4d rei = Vec4d::load(ri);
-        const Vec4d imi = Vec4d::load(ii);
-        (rei - tr).store(rj);
-        (imi - ti).store(ij);
-        (rei + tr).store(ri);
-        (imi + ti).store(ii);
-      }
-    }
-  }
-}
-
-void FftPlan::dct2_x4(double* p, std::size_t stride,
-                      std::size_t lane_stride) const {
-  const std::size_t h = n_ / 2;
-  double* re = re4_.data();
-  double* im = im4_.data();
-  for (std::size_t j = 0; j < h; ++j) {
-    load_lines(p + (2 * j) * stride, lane_stride).store(re + 4 * j);
-    load_lines(p + (2 * j + 1) * stride, lane_stride)
-        .store(re + 4 * (n_ - 1 - j));
-  }
-  std::fill(im4_.begin(), im4_.end(), 0.0);
-  transform_x4(false);
-  const double s = 2.0 / static_cast<double>(n_);
-  const Vec4d sv = Vec4d::broadcast(s);
-  store_lines(Vec4d::broadcast(0.5 * s) * Vec4d::load(re), p, lane_stride);
-  const std::size_t kf = stride == 1 ? fused_end(n_) : 1;
-  for (std::size_t k = 1; k < n_; ++k) {
-    const Vec4d qr = Vec4d::broadcast(qre_[k]);
-    const Vec4d qi = Vec4d::broadcast(qim_[k]);
-    const Vec4d rk = Vec4d::load(re + 4 * k);
-    const Vec4d ik = Vec4d::load(im + 4 * k);
-    const Vec4d c = k < kf ? Vec4d::fma(qr, rk, qi * ik) : qr * rk + qi * ik;
-    store_lines(sv * c, p + k * stride, lane_stride);
-  }
-}
-
-void FftPlan::twist_x4(const double* p, std::size_t stride,
-                       std::size_t lane_stride, bool flip) const {
-  double* re = re4_.data();
-  double* im = im4_.data();
-  if (flip) {
-    Vec4d::zero().store(re);
-  } else {
-    load_lines(p, lane_stride).store(re);
-  }
-  Vec4d::zero().store(im);
-  const Vec4d half = Vec4d::broadcast(0.5);
-  const std::size_t kf = stride == 1 ? fused_end(n_) : 1;
-  for (std::size_t k = 1; k < n_; ++k) {
-    const Vec4d a = half * load_lines(p + k * stride, lane_stride);
-    const Vec4d b = half * load_lines(p + (n_ - k) * stride, lane_stride);
-    const Vec4d x = flip ? b : a;
-    const Vec4d y = flip ? a : b;
-    const Vec4d qr = Vec4d::broadcast(qre_[k]);
-    const Vec4d qi = Vec4d::broadcast(qim_[k]);
-    (k < kf ? Vec4d::fma(qr, x, qi * y) : qr * x + qi * y).store(re + 4 * k);
-    (qi * x - qr * y).store(im + 4 * k);
-  }
-}
-
-void FftPlan::synthesize_x4(double* p, std::size_t stride,
-                            std::size_t lane_stride, bool alternate) const {
-  transform_x4(true);
-  const double* re = re4_.data();
-  const std::size_t h = n_ / 2;
-  const Vec4d sign = Vec4d::broadcast(alternate ? -1.0 : 1.0);
-  for (std::size_t j = 0; j < h; ++j) {
-    store_lines(Vec4d::load(re + 4 * j), p + (2 * j) * stride, lane_stride);
-    store_lines(sign * Vec4d::load(re + 4 * (n_ - 1 - j)),
-                p + (2 * j + 1) * stride, lane_stride);
-  }
-}
-
-void FftPlan::dct3_x4(double* p, std::size_t stride,
-                      std::size_t lane_stride) const {
-  twist_x4(p, stride, lane_stride, /*flip=*/false);
-  synthesize_x4(p, stride, lane_stride, /*alternate=*/false);
-}
-
-void FftPlan::dst3_x4(double* p, std::size_t stride,
-                      std::size_t lane_stride) const {
-  twist_x4(p, stride, lane_stride, /*flip=*/true);
-  synthesize_x4(p, stride, lane_stride, /*alternate=*/true);
 }
 
 }  // namespace aplace::numeric::fft

@@ -57,34 +57,12 @@ class FftPlan {
   void dst3(const double* in, std::size_t in_stride, double* out,
             std::size_t out_stride) const;
 
-  /// True when the plan takes its 4-lane paths (simd::default_enabled() at
-  /// construction): the condition for the lane-batched transforms below.
-  [[nodiscard]] bool lanes() const { return use_simd_; }
-
-  // Lane-batched transforms, in place on four lines at once: line l holds
-  // its n values at p[t * stride + l * lane_stride] and rides lane l of
-  // every simd::Vec4d. Each lane performs exactly the arithmetic of the
-  // per-line call on that line with in_stride = out_stride = stride,
-  // including Vec4d::fma in the twiddle loops where the stride-1 per-line
-  // path fuses, so the output is bit-identical to four per-line calls.
-  // Only for lanes() plans.
-  void dct2_x4(double* p, std::size_t stride, std::size_t lane_stride) const;
-  void dct3_x4(double* p, std::size_t stride, std::size_t lane_stride) const;
-  void dst3_x4(double* p, std::size_t stride, std::size_t lane_stride) const;
-
  private:
   /// In-place radix-2 Cooley-Tukey on (re_, im_); inverse = conjugate
   /// twiddles, no 1/n normalization.
   void transform(bool inverse) const;
   /// Shared synthesis tail of dct3/dst3: spectrum already in (re_, im_).
   void synthesize(double* out, std::size_t out_stride, bool alternate) const;
-  /// 4-lane twins of transform()/synthesize() on (re4_, im4_).
-  void transform_x4(bool inverse) const;
-  void synthesize_x4(double* p, std::size_t stride, std::size_t lane_stride,
-                     bool alternate) const;
-  /// Shared spectrum setup of dct3_x4/dst3_x4 (`flip` = dst3's reversal).
-  void twist_x4(const double* p, std::size_t stride, std::size_t lane_stride,
-                bool flip) const;
 
   std::size_t n_;
   // simd::default_enabled() at construction: 4-lane butterflies for stages
@@ -96,7 +74,6 @@ class FftPlan {
                                      // stage with half-size h at offset h - 1
   base::AlignedVec qre_, qim_;       // quarter-wave cos/sin(pi k / (2n))
   mutable base::AlignedVec re_, im_;  // complex work buffer
-  mutable base::AlignedVec re4_, im4_;  // lane-batched work, [t * 4 + lane]
 };
 
 }  // namespace aplace::numeric::fft

@@ -179,29 +179,6 @@ void apply_1d(const Basis& b, Kind kind, const double* in,
   }
 }
 
-// One pass of a 2D transform over `lines` lines of a row-major matrix:
-// line i starts at d + i * lane_stride, its elements `stride` apart. Runs
-// four lines at a time on the lane-batched FFT path when the plan has one.
-void apply_pass(const Basis& b, Kind kind, double* d, std::size_t lines,
-                std::size_t stride, std::size_t lane_stride, bool naive) {
-  std::size_t i = 0;
-  const fft::FftPlan* plan = naive ? nullptr : b.plan();
-  if (plan != nullptr && plan->lanes()) {
-    for (; i + 4 <= lines; i += 4) {
-      double* p = d + i * lane_stride;
-      switch (kind) {
-        case Kind::Dct: plan->dct2_x4(p, stride, lane_stride); break;
-        case Kind::Idct: plan->dct3_x4(p, stride, lane_stride); break;
-        case Kind::SineSynth: plan->dst3_x4(p, stride, lane_stride); break;
-      }
-    }
-  }
-  for (; i < lines; ++i) {
-    double* p = d + i * lane_stride;
-    apply_1d(b, kind, p, stride, p, stride, naive);
-  }
-}
-
 // Rows with bx (kind_x), then columns with by (kind_y), in place.
 void apply_2d(Matrix& m, const Basis& bx, const Basis& by, Kind kind_x,
               Kind kind_y, bool naive = false) {
@@ -209,9 +186,13 @@ void apply_2d(Matrix& m, const Basis& bx, const Basis& by, Kind kind_x,
   static const obs::Counter transforms = obs::counter("fft/transforms2d");
   transforms.inc();
   double* d = m.data().data();
-  const std::size_t rows = m.rows(), cols = m.cols();
-  apply_pass(bx, kind_x, d, rows, 1, cols, naive);
-  apply_pass(by, kind_y, d, cols, cols, 1, naive);
+  const std::size_t cols = m.cols();
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    apply_1d(bx, kind_x, d + r * cols, 1, d + r * cols, 1, naive);
+  }
+  for (std::size_t c = 0; c < cols; ++c) {
+    apply_1d(by, kind_y, d + c, cols, d + c, cols, naive);
+  }
 }
 
 Matrix apply_2d_copy(const Matrix& m, const Basis& bx, const Basis& by,

@@ -21,10 +21,7 @@
 // The 2D transforms apply the 1D transform along rows then columns; the
 // *_inplace variants overwrite their argument and perform no heap
 // allocation (all scratch lives in the Basis / its plan), which is what the
-// per-iteration Poisson solve in density::ElectroDensity uses. When the
-// plan takes its SIMD paths, each pass runs four rows or four columns at a
-// time in the lanes of simd::Vec4d (FftPlan::*_x4), bit-identical to the
-// per-line transforms; remaining lines (and grids of side 2) go per line.
+// per-iteration Poisson solve in density::ElectroDensity uses.
 
 #include <memory>
 #include <vector>
@@ -47,8 +44,6 @@ class Basis {
   [[nodiscard]] std::size_t size() const { return n_; }
   /// True when the O(n log n) FFT path backs dct/idct/sine_synthesis.
   [[nodiscard]] bool uses_fft() const { return plan_ != nullptr; }
-  /// The FFT plan behind the fast path (null when !uses_fft()).
-  [[nodiscard]] const fft::FftPlan* plan() const { return plan_.get(); }
 
   /// cos(pi k (2j+1) / (2n)); builds the dense table on first use.
   [[nodiscard]] double cosine(std::size_t k, std::size_t j) const;

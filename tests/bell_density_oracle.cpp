@@ -10,20 +10,6 @@
 namespace aplace::density::oracle {
 namespace {
 
-void splat_per_bin(const BinGrid& grid, const geom::Rect& rect, double amount,
-                   numeric::Matrix& into) {
-  if (rect.area() <= 0) return;
-  const auto [cx0, cx1] = grid.x_range(rect.xlo(), rect.xhi());
-  const auto [cy0, cy1] = grid.y_range(rect.ylo(), rect.yhi());
-  const double per_area = amount / rect.area();
-  for (std::size_t r = cy0; r <= cy1; ++r) {
-    for (std::size_t c = cx0; c <= cx1; ++c) {
-      const double ov = grid.bin_rect(r, c).overlap_area(rect);
-      if (ov > 0) into(r, c) += per_area * ov;
-    }
-  }
-}
-
 struct Support {
   std::size_t cx0, cx1, cy0, cy1;
 };
@@ -69,8 +55,8 @@ BellEval bell_value_and_grad(const netlist::CompiledCircuit& cc,
         dmat(r, c) += norm[i] * px * py;
       }
     }
-    splat_per_bin(grid, geom::Rect::centered({x, y}, dev_w[i], dev_h[i]),
-                  dev_area[i], occ);
+    grid.splat(geom::Rect::centered({x, y}, dev_w[i], dev_h[i]), dev_area[i],
+               occ);
   }
 
   double over = 0;

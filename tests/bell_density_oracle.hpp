@@ -1,12 +1,11 @@
 #pragma once
-// Test-only reference bell density: the original per-bin NTUplace3 kernel
-// and the per-bin BinGrid splat, kept verbatim as the oracle for the
-// separable production kernel in src/density/bell.cpp.
+// Test-only reference bell density: the original per-bin NTUplace3 kernel,
+// kept verbatim as the oracle for the separable production kernel in
+// src/density/bell.cpp. Both build the occupancy with BinGrid::splat.
 //
 // The production kernel evaluates bell_value/bell_derivative once per
-// support column and row instead of once per (row, column) pair, and the
-// splat forms its x and y overlaps once per device; every product and sum
-// keeps its operands and its order. Its value, gradient and overflow must
+// support column and row instead of once per (row, column) pair; every
+// product and sum keeps its operands and its order. Its value, gradient and overflow must
 // therefore match this oracle bit for bit.
 
 #include <span>

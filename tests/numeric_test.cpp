@@ -3,9 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
-#include <cstdint>
 #include <numbers>
 
 #include "numeric/adam.hpp"
@@ -203,73 +201,6 @@ TEST(FftSpectralTest, NonPow2FallsBackToNaive) {
   const Matrix m = random_matrix(12, 16, rng);
   const Matrix round = spectral::idct2d(spectral::dct2d(m, bx, b12), bx, b12);
   expect_matrix_near(round, m, 1e-10);
-}
-
-// ---- lane-batched 2D transforms vs. per-line FftPlan ------------------------
-
-// The 2D transforms run four rows or columns at a time in Vec4d lanes; each
-// lane must reproduce the per-line FftPlan call on its line bit for bit.
-class SpectralBatchTest : public ::testing::Test {
- protected:
-  using LineFn = void (fft::FftPlan::*)(const double*, std::size_t, double*,
-                                        std::size_t) const;
-
-  // Rows with fx (stride 1), then columns with fy (stride = row length),
-  // one FftPlan call per line: the reference the batched pass must equal.
-  static Matrix per_line(Matrix m, const fft::FftPlan& px,
-                         const fft::FftPlan& py, LineFn fx, LineFn fy) {
-    double* d = m.data().data();
-    const std::size_t cols = m.cols();
-    for (std::size_t r = 0; r < m.rows(); ++r) {
-      (px.*fx)(d + r * cols, 1, d + r * cols, 1);
-    }
-    for (std::size_t c = 0; c < cols; ++c) {
-      (py.*fy)(d + c, cols, d + c, cols);
-    }
-    return m;
-  }
-
-  static void expect_bitwise(const Matrix& a, const Matrix& b,
-                             const std::string& what) {
-    ASSERT_EQ(a.rows(), b.rows());
-    ASSERT_EQ(a.cols(), b.cols());
-    for (std::size_t k = 0; k < a.data().size(); ++k) {
-      ASSERT_EQ(std::bit_cast<std::uint64_t>(a.data()[k]),
-                std::bit_cast<std::uint64_t>(b.data()[k]))
-          << what << " at " << k;
-    }
-  }
-};
-
-TEST_F(SpectralBatchTest, BatchedTransformsMatchPerLinePlansBitwise) {
-  Rng rng(29);
-  const std::size_t sizes[] = {2, 4, 8, 32, 256};
-  for (const std::size_t nx : sizes) {
-    for (const std::size_t ny : sizes) {
-      const spectral::Basis bx(nx), by(ny);
-      const fft::FftPlan px(nx), py(ny);
-      ASSERT_TRUE(bx.plan() != nullptr && by.plan() != nullptr);
-      const Matrix m = random_matrix(ny, nx, rng);
-      const std::string at =
-          " nx=" + std::to_string(nx) + " ny=" + std::to_string(ny);
-      expect_bitwise(spectral::dct2d(m, bx, by),
-                     per_line(m, px, py, &fft::FftPlan::dct2,
-                              &fft::FftPlan::dct2),
-                     "dct2d" + at);
-      expect_bitwise(spectral::idct2d(m, bx, by),
-                     per_line(m, px, py, &fft::FftPlan::dct3,
-                              &fft::FftPlan::dct3),
-                     "idct2d" + at);
-      expect_bitwise(spectral::isxcy2d(m, bx, by),
-                     per_line(m, px, py, &fft::FftPlan::dst3,
-                              &fft::FftPlan::dct3),
-                     "isxcy2d" + at);
-      expect_bitwise(spectral::icxsy2d(m, bx, by),
-                     per_line(m, px, py, &fft::FftPlan::dct3,
-                              &fft::FftPlan::dst3),
-                     "icxsy2d" + at);
-    }
-  }
 }
 
 TEST(FftSpectralTest, FftPlanRejectsNonPow2) {
