@@ -51,7 +51,7 @@ void BM_ElectroSolve(benchmark::State& state) {
   const auto bins = static_cast<std::size_t>(state.range(0));
   density::ElectroDensity ed(
       std::make_shared<const netlist::CompiledCircuit>(tc.circuit),
-      {0, 0, 16, 16}, bins, bins, 0.85);
+      {0, 0, 16, 16}, bins, bins);
   const std::vector<double> v = spread(tc.circuit);
   std::vector<double> g(v.size(), 0.0);
   for (auto _ : state) {
@@ -570,7 +570,7 @@ void print_simd_kernel_table(bench::JsonReport& json) {
   // production flows put the splat in.
   {
     const auto make_ed = [&] {
-      return density::ElectroDensity(cc, {0, 0, 16, 16}, 256, 256, 0.85);
+      return density::ElectroDensity(cc, {0, 0, 16, 16}, 256, 256);
     };
     density::ElectroDensity ed_scalar = make_with_simd(false, make_ed);
     density::ElectroDensity ed_simd = make_with_simd(true, make_ed);
@@ -617,10 +617,8 @@ void print_simd_kernel_table(bench::JsonReport& json) {
       pos[i] = side * (0.5 + 0.35 * std::sin(1.7 * fi + 0.3));
       pos[n + i] = side * (0.5 + 0.35 * std::cos(2.3 * fi + 1.1));
     }
-    density::BellDensity bell(cc, region, opts.bins, opts.bins,
-                              opts.target_density);
-    density::ElectroDensity electro(cc, region, opts.bins, opts.bins,
-                                    opts.target_density);
+    density::BellDensity bell(cc, region, opts.bins, opts.bins);
+    density::ElectroDensity electro(cc, region, opts.bins, opts.bins);
     const int reps = bench::quick_mode() ? 300 : 1000;
     const double bell_us =
         best_of3(reps, [&] { sink += bell.value_and_grad(pos, g, 1.0); });

@@ -42,11 +42,9 @@ double bell_derivative(double d, double w, double wb) {
 
 BellDensity::BellDensity(
     std::shared_ptr<const netlist::CompiledCircuit> compiled,
-    const geom::Rect& region, std::size_t nx, std::size_t ny,
-    double target_density)
+    const geom::Rect& region, std::size_t nx, std::size_t ny)
     : compiled_(std::move(compiled)),
       grid_(region, nx, ny),
-      target_(target_density),
       dev_w_(compiled_->dev_width()),
       dev_h_(compiled_->dev_height()),
       dev_area_(compiled_->dev_area()),

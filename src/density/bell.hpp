@@ -4,8 +4,9 @@
 //
 // Each device spreads a smooth "potential" over nearby bins via the
 // separable bell function p(d) (quadratic core, quadratic tail, compact
-// support); the penalty is sum_b (D_b - M_b)^2 where D_b is the smoothed
-// density of bin b and M_b the uniform expected density. Normalization
+// support); the penalty is sum_b max(0, D_b - M_b)^2 where D_b is the
+// smoothed density of bin b and M_b one full bin's area: analog devices span
+// many bins, so only density beyond a full bin is penalized. Normalization
 // constants c_i keep each device's total contribution equal to its area and
 // are treated as constants in the gradient (as in NTUplace3).
 //
@@ -34,8 +35,7 @@ namespace aplace::density {
 class BellDensity {
  public:
   BellDensity(std::shared_ptr<const netlist::CompiledCircuit> compiled,
-              const geom::Rect& region, std::size_t nx, std::size_t ny,
-              double target_density);
+              const geom::Rect& region, std::size_t nx, std::size_t ny);
 
   [[nodiscard]] const BinGrid& grid() const { return grid_; }
 
@@ -54,7 +54,6 @@ class BellDensity {
 
   std::shared_ptr<const netlist::CompiledCircuit> compiled_;
   BinGrid grid_;
-  double target_;
   // Device footprints, viewing the compiled snapshot's flat arrays.
   std::span<const double> dev_w_, dev_h_, dev_area_;
   double overflow_ = 1.0;

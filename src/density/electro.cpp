@@ -117,11 +117,9 @@ ForceAcc force_simd(const BinGrid& grid, const numeric::Matrix& exm,
 
 ElectroDensity::ElectroDensity(
     std::shared_ptr<const netlist::CompiledCircuit> compiled,
-    const geom::Rect& region, std::size_t nx, std::size_t ny,
-    double target_density)
+    const geom::Rect& region, std::size_t nx, std::size_t ny)
     : compiled_(std::move(compiled)),
       grid_(region, nx, ny),
-      target_(target_density),
       basis_x_(nx),
       basis_y_(ny),
       use_simd_(simd::default_enabled()),
@@ -129,8 +127,6 @@ ElectroDensity::ElectroDensity(
       ex_(ny, nx),
       ey_(ny, nx),
       occupancy_(ny, nx) {
-  APLACE_CHECK_MSG(target_density > 0 && target_density <= 1.0,
-                   "target density must be in (0, 1]");
   // ePlace-style local smoothing: devices smaller than sqrt(2) * bin pitch
   // are inflated (charge preserved) so the density signal stays smooth.
   // The inflation depends on the bin grid, so this per-instance table stays
@@ -239,7 +235,7 @@ void ElectroDensity::build_density(std::span<const double> v) {
   // Analog scale: devices are much larger than bins, so a bin interior to a
   // single device is legitimately 100% occupied. Overflow therefore counts
   // occupancy beyond a *full* bin — i.e. actual device overlap — normalized
-  // by total device area. (target_ still sizes the placement region.)
+  // by total device area.
   double over = 0;
   const double cap = grid_.bin_area();
   for (double o : occupancy_.data()) over += std::max(0.0, o - cap);

@@ -53,11 +53,9 @@ namespace aplace::density {
 class ElectroDensity {
  public:
   ElectroDensity(std::shared_ptr<const netlist::CompiledCircuit> compiled,
-                 const geom::Rect& region, std::size_t nx, std::size_t ny,
-                 double target_density);
+                 const geom::Rect& region, std::size_t nx, std::size_t ny);
 
   [[nodiscard]] const BinGrid& grid() const { return grid_; }
-  [[nodiscard]] double target_density() const { return target_; }
 
   /// Phase 1 of value_and_grad: splat charge + occupancy at v, normalize
   /// rho, refresh overflow(). Exposed so the splat kernel can be timed in
@@ -107,7 +105,6 @@ class ElectroDensity {
 
   std::shared_ptr<const netlist::CompiledCircuit> compiled_;
   BinGrid grid_;
-  double target_;
   numeric::spectral::Basis basis_x_, basis_y_;
   std::vector<DeviceInfo> devices_;
   bool use_simd_;  ///< simd::default_enabled() at construction

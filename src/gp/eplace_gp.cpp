@@ -44,7 +44,7 @@ EPlaceGlobalPlacer::EPlaceGlobalPlacer(
                     : std::make_unique<wirelength::LseWirelength>(compiled_)),
       wl_(*wl_owner_),
       area_(compiled_),
-      dens_(compiled_, region_, opts_.bins, opts_.bins, opts_.target_density),
+      dens_(compiled_, region_, opts_.bins, opts_.bins),
       pen_(compiled_) {}
 
 void EPlaceGlobalPlacer::build_objective() {

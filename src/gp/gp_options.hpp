@@ -18,7 +18,6 @@ class ObjectiveTerm;
 struct GpCommonOptions {
   std::size_t bins = 32;        ///< density bins per side
   double utilization = 0.55;    ///< region side = sqrt(total area / util)
-  double target_density = 0.85; ///< bin capacity fraction
   /// Stop once density overflow drops below this (the detailed placer
   /// removes the residual). ePlace-A hands off earlier (0.18 default); the
   /// prior-work flow runs its outer loop down to 0.07.

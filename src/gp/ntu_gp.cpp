@@ -22,7 +22,7 @@ PriorAnalyticalGlobalPlacer::PriorAnalyticalGlobalPlacer(
         return geom::Rect{0, 0, side, side};
       }()),
       wl_(compiled_),
-      dens_(compiled_, region_, opts.bins, opts.bins, opts.target_density),
+      dens_(compiled_, region_, opts.bins, opts.bins),
       pen_(compiled_) {}
 
 void PriorAnalyticalGlobalPlacer::build_objective() {

@@ -50,9 +50,9 @@ static_assert(kOneShape<wirelength::WaWirelength>);
 static_assert(kOneShape<wirelength::LseWirelength>);
 static_assert(kOneShape<wirelength::WaAreaTerm>);
 static_assert(kOneShape<density::ElectroDensity, geom::Rect, std::size_t,
-                        std::size_t, double>);
+                        std::size_t>);
 static_assert(kOneShape<density::BellDensity, geom::Rect, std::size_t,
-                        std::size_t, double>);
+                        std::size_t>);
 static_assert(kOneShape<gp::ConstraintPenalties>);
 static_assert(kOneShape<gp::EPlaceGlobalPlacer, gp::EPlaceGpOptions>);
 static_assert(kOneShape<gp::PriorAnalyticalGlobalPlacer, gp::NtuGpOptions>);

@@ -64,7 +64,7 @@ TEST(BinGridTest, SplatDropsOutsideArea) {
 
 TEST(ElectroTest, FieldPushesApart) {
   const netlist::Circuit c = test::two_device_circuit();
-  ElectroDensity ed(test::compile(c), {0, 0, 16, 16}, 16, 16, 0.8);
+  ElectroDensity ed(test::compile(c), {0, 0, 16, 16}, 16, 16);
   // Both devices near the center, side by side with overlap.
   std::vector<double> v{7.6, 8.4, 8.0, 8.0};
   std::vector<double> g(4, 0.0);
@@ -76,7 +76,7 @@ TEST(ElectroTest, FieldPushesApart) {
 
 TEST(ElectroTest, EnergyDropsWhenSpread) {
   const netlist::Circuit c = test::two_device_circuit();
-  ElectroDensity ed(test::compile(c), {0, 0, 16, 16}, 16, 16, 0.8);
+  ElectroDensity ed(test::compile(c), {0, 0, 16, 16}, 16, 16);
   std::vector<double> g(4, 0.0);
   const std::vector<double> vs{8, 8, 8, 8};
   const std::vector<double> vp{4, 12, 8, 8};
@@ -87,7 +87,7 @@ TEST(ElectroTest, EnergyDropsWhenSpread) {
 
 TEST(ElectroTest, OverflowMeasuresOverlapOnly) {
   const netlist::Circuit c = test::two_device_circuit();
-  ElectroDensity ed(test::compile(c), {0, 0, 16, 16}, 16, 16, 0.8);
+  ElectroDensity ed(test::compile(c), {0, 0, 16, 16}, 16, 16);
   std::vector<double> g(4, 0.0);
   // Disjoint placement: overflow ~ 0 (bins inside devices are exactly full).
   const std::vector<double> vp{4, 12, 8, 8};
@@ -104,7 +104,7 @@ TEST(ElectroTest, GradientRoughlyMatchesFiniteDifference) {
   // per-device averaging makes it an approximation; check direction and
   // magnitude within a loose factor.
   const netlist::Circuit c = test::two_device_circuit();
-  ElectroDensity ed(test::compile(c), {0, 0, 16, 16}, 32, 32, 0.8);
+  ElectroDensity ed(test::compile(c), {0, 0, 16, 16}, 32, 32);
   const std::vector<double> v{7.0, 9.0, 8.0, 8.2};
   std::vector<double> g(4, 0.0);
   ed.value_and_grad(v, g, 1.0);
@@ -129,7 +129,7 @@ TEST(ElectroTest, EscapedDeviceFeelsRestoringForce) {
   // overlap and silently feel no density force; the clamped lookup must
   // give it a nonzero gradient pointing back inside.
   const netlist::Circuit c = test::two_device_circuit();
-  ElectroDensity ed(test::compile(c), {0, 0, 16, 16}, 16, 16, 0.8);
+  ElectroDensity ed(test::compile(c), {0, 0, 16, 16}, 16, 16);
   // Device 0 escaped far left of the region, device 1 well inside.
   const std::vector<double> v{-6.0, 8.0, 8.0, 8.0};
   std::vector<double> g(4, 0.0);
@@ -153,7 +153,7 @@ TEST(ElectroTest, GradientMatchesFiniteDifferenceOnFftPath) {
   // test. Tolerances are loose for the same reason as above: the per-device
   // field averaging is an approximation of dN/dv.
   const netlist::Circuit c = test::two_device_circuit();
-  ElectroDensity ed(test::compile(c), {0, 0, 16, 16}, 64, 64, 0.8);
+  ElectroDensity ed(test::compile(c), {0, 0, 16, 16}, 64, 64);
   const std::vector<double> v{6.5, 9.5, 8.5, 7.5};
   std::vector<double> g(4, 0.0);
   ed.value_and_grad(v, g, 1.0);
@@ -201,7 +201,7 @@ TEST(BellDensityTest, PenaltyDropsWhenSpread) {
   // Needs bins fine enough that the bell-smoothed density can exceed a full
   // bin where the devices overlap (32 bins -> 0.5 um over 2-4 um devices).
   const netlist::Circuit c = test::two_device_circuit();
-  BellDensity bd(test::compile(c), {0, 0, 16, 16}, 32, 32, 0.8);
+  BellDensity bd(test::compile(c), {0, 0, 16, 16}, 32, 32);
   std::vector<double> g(4, 0.0);
   const std::vector<double> vs{8, 8, 8, 8};
   const std::vector<double> vp{4, 12, 8, 8};
@@ -212,7 +212,7 @@ TEST(BellDensityTest, PenaltyDropsWhenSpread) {
 
 TEST(BellDensityTest, GradientMatchesFiniteDifference) {
   const netlist::Circuit c = test::two_device_circuit();
-  BellDensity bd(test::compile(c), {0, 0, 16, 16}, 16, 16, 0.8);
+  BellDensity bd(test::compile(c), {0, 0, 16, 16}, 16, 16);
   const std::vector<double> v{7.2, 9.1, 7.9, 8.3};
   std::vector<double> g(4, 0.0);
   bd.value_and_grad(v, g, 1.0);
@@ -293,7 +293,7 @@ TEST_P(BellOracleTest, SeparableKernelMatchesPerBinOracleBitwise) {
   const double side = std::sqrt(cc->total_device_area() / 0.5);
   const geom::Rect region{0, 0, side, side};
   for (const std::size_t bins : {16u, 32u, 64u}) {
-    BellDensity bd(cc, region, bins, bins, 0.8);
+    BellDensity bd(cc, region, bins, bins);
     for (const Shape shape : kShapes) {
       const std::vector<double> v = shaped_positions(shape, n, side);
       // Start from a nonzero gradient: both kernels add scale * grad.
@@ -385,7 +385,7 @@ TEST_P(SpectralEnergyTest, MatchesSpatialFormula) {
   const std::size_t n = cc->num_devices();
   const double side = std::sqrt(cc->total_device_area() / 0.5);
   for (const std::size_t bins : {16u, 32u, 64u}) {
-    ElectroDensity ed(cc, {0, 0, side, side}, bins, bins, 0.8);
+    ElectroDensity ed(cc, {0, 0, side, side}, bins, bins);
     for (const Shape shape : kShapes) {
       const std::vector<double> v = shaped_positions(shape, n, side);
       std::vector<double> g(2 * n, 0.0);

@@ -67,8 +67,8 @@ struct Kernels {
   wirelength::WaWirelength wa{test::compile(circuit)};
   wirelength::LseWirelength lse{test::compile(circuit)};
   wirelength::WaAreaTerm area{test::compile(circuit)};
-  density::ElectroDensity electro{test::compile(circuit), region, 16, 16, 0.8};
-  density::BellDensity bell{test::compile(circuit), region, 16, 16, 0.8};
+  density::ElectroDensity electro{test::compile(circuit), region, 16, 16};
+  density::BellDensity bell{test::compile(circuit), region, 16, 16};
   ConstraintPenalties pen{test::compile(circuit)};
 
   std::shared_ptr<ObjectiveTerm> make(const std::string& which) {
@@ -144,7 +144,7 @@ TEST_P(ObjectiveTermGradientTest, MatchesFiniteDifference) {
   // it tracks the finite difference only in the smooth mildly-overlapping
   // regime, so reuse the kernel-level ElectroTest configuration for it.
   const netlist::Circuit two = test::two_device_circuit();
-  density::ElectroDensity ed(test::compile(two), {0, 0, 16, 16}, 32, 32, 0.8);
+  density::ElectroDensity ed(test::compile(two), {0, 0, 16, 16}, 32, 32);
   std::shared_ptr<ObjectiveTerm> term;
   std::vector<double> v;
   if (which == "electro-density") {

@@ -287,7 +287,7 @@ TEST_P(SimdKernelParityTest, ElectroDensityScalarVsSimd) {
 
   const auto make_ed = [&] {
     return density::ElectroDensity(test::compile(c), {0, 0, extent, extent},
-                                   64, 64, 0.8);
+                                   64, 64);
   };
   density::ElectroDensity ed_scalar = make_with_simd(false, make_ed);
   density::ElectroDensity ed_simd = make_with_simd(true, make_ed);
