@@ -149,14 +149,17 @@ class JsonReport {
  public:
   explicit JsonReport(std::string bench) : bench_(std::move(bench)) {}
 
-  /// Record one placement-flow run. SA flows carry a nonzero moves/sec
-  /// throughput, emitted as an extra "moves_per_sec" key (rate-gated by the
-  /// regression checker; 0 = not an SA run, key omitted).
+  /// Record one placement-flow run with its stage split ("gp_seconds",
+  /// "dp_seconds": global and detailed placement, each time-gated by the
+  /// regression checker like "wall_seconds"). SA flows carry a nonzero
+  /// moves/sec throughput, emitted as an extra "moves_per_sec" key
+  /// (rate-gated; 0 = not an SA run, key omitted).
   void add_flow(const std::string& circuit, const std::string& flow,
                 std::uint64_t seed, const core::FlowResult& r) {
     runs_.push_back(Run{circuit, flow, seed, r.total_seconds, r.hpwl(),
                         r.area(), r.legal(), core::to_string(r.fallback),
-                        r.ok(), r.sa_moves_per_second});
+                        r.ok(), r.sa_moves_per_second, /*stages=*/true,
+                        r.gp_seconds, r.dp_seconds});
     add_spans(circuit, flow, r.spans);
   }
 
@@ -246,6 +249,10 @@ class JsonReport {
       if (r.moves_per_sec > 0) {
         out << ", \"moves_per_sec\": " << fmt(r.moves_per_sec);
       }
+      if (r.stages) {
+        out << ", \"gp_seconds\": " << fmt(r.gp_seconds)
+            << ", \"dp_seconds\": " << fmt(r.dp_seconds);
+      }
       out << "}";
     }
     out << "\n  ],\n  \"term_traces\": [";
@@ -332,6 +339,9 @@ class JsonReport {
     std::string fallback;
     bool ok;
     double moves_per_sec;  ///< SA throughput; 0 = not an SA row (omitted)
+    bool stages = false;   ///< a flow row: gp/dp seconds are emitted
+    double gp_seconds = 0.0;
+    double dp_seconds = 0.0;
   };
 
   struct TraceRow {

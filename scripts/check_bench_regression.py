@@ -5,7 +5,8 @@ Compares a directory of freshly produced bench JSON files against a
 committed baseline directory. Runs are matched by (bench, circuit, flow);
 for each matched pair the checker fails when:
 
-  * wall time regresses by more than --time-tol (default 15%) beyond an
+  * wall time, or a flow row's GP or DP stage time (gp_seconds,
+    dp_seconds), regresses by more than --time-tol (default 15%) beyond an
     absolute slack (--time-slack, default 0.1 s, which keeps millisecond-
     scale runs from tripping the gate on scheduler noise);
   * HPWL or area regresses by more than --quality-tol (default 2%, to
@@ -16,8 +17,9 @@ for each matched pair the checker fails when:
   * a run that was legal in the baseline is illegal now;
   * a run that was ok in the baseline is not ok now;
   * a baseline run is missing from the current results;
-  * a metric the baseline gates on (wall_seconds, hpwl, area,
-    moves_per_sec) is present in the baseline run but absent from the
+  * a metric the baseline gates on (wall_seconds, gp_seconds,
+    dp_seconds, hpwl, area, moves_per_sec) is present in the baseline
+    run but absent from the
     matching current run — a silently dropped metric is a hard failure,
     never a skip, so schema drift can't blind the gate;
   * a top-level "metrics" entry ending in "_speedup" (higher is better,
@@ -102,19 +104,23 @@ def check(
             failures.append(f"{name}: run missing from current results")
             continue
 
-        bt, ct = base.get("wall_seconds"), cur.get("wall_seconds")
-        if bt is not None and ct is None:
-            failures.append(
-                f"{name}: wall_seconds present in baseline but missing "
-                f"from current run"
-            )
-        elif bt is not None:
-            limit = bt * (1.0 + time_tol) + time_slack
-            if ct > limit:
+        # The flow rows' stage split (global / detailed placement) is gated
+        # like the wall time, wherever the baseline row carries it.
+        for metric in ("wall_seconds", "gp_seconds", "dp_seconds"):
+            bt, ct = base.get(metric), cur.get(metric)
+            if bt is not None and ct is None:
                 failures.append(
-                    f"{name}: wall time {ct:.3f}s > {limit:.3f}s "
-                    f"(baseline {bt:.3f}s, tol {time_tol:.0%} + {time_slack}s)"
+                    f"{name}: {metric} present in baseline but missing "
+                    f"from current run"
                 )
+            elif bt is not None:
+                limit = bt * (1.0 + time_tol) + time_slack
+                if ct > limit:
+                    failures.append(
+                        f"{name}: {metric} {ct:.3f}s > {limit:.3f}s "
+                        f"(baseline {bt:.3f}s, tol {time_tol:.0%} + "
+                        f"{time_slack}s)"
+                    )
 
         for metric in ("hpwl", "area"):
             bv, cv = base.get(metric), cur.get(metric)

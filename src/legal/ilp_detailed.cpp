@@ -1,5 +1,6 @@
 #include "legal/ilp_detailed.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <limits>
@@ -35,6 +36,7 @@ IlpResult IlpDetailedPlacer::place(std::span<const double> gp_positions) const {
       n);
 
   IlpResult result{netlist::Placement(c)};
+  result.proven_optimal = true;  // AND over the MILP answers below
   if (opts_.deadline.expired()) {
     result.outcome = aplace::Status::budget_exhausted(
         "time budget expired before ILP legalization started");
@@ -358,6 +360,10 @@ solver::MilpSolution IlpDetailedPlacer::solve_round(
   result.status = sol.status;
   result.objective = sol.objective;
   result.bb_nodes += sol.nodes_explored;
+  if (sol.ok()) {
+    result.proven_optimal = result.proven_optimal && sol.proven_optimal;
+    result.gap = std::max(result.gap, sol.gap);
+  }
   return sol;
 }
 

@@ -55,6 +55,13 @@ struct IlpResult {
   double objective = 0.0;
   bool snapped = false;   ///< coordinates are on the integer grid
   long bb_nodes = 0;
+  /// Every MILP solved in place() that returned an answer (each refinement
+  /// round, reshape trial and the final flip pass) was proven optimal, none
+  /// cut short by its node budget or the deadline.
+  bool proven_optimal = false;
+  /// The worst relative optimality gap among those answers
+  /// (MilpSolution::gap); 0 when proven_optimal.
+  double gap = 0.0;
   int reshape_accepted = 0;  ///< accepted critical-chain flips
   int reshape_chain_len = 0; ///< last binding-chain length (diagnostics)
   /// Structured outcome: Ok when `placement` holds a solved round, otherwise

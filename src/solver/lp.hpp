@@ -3,17 +3,32 @@
 //
 // The problem is stated in natural form: variables with (possibly infinite)
 // bounds and a linear cost, constraints as sparse rows with <=, >= or ==
-// relations. solve_lp() runs a two-phase primal tableau simplex. The
-// legalizer's programs have a few hundred rows of 2-4 nonzeros each, and
-// the tableau stays a few percent dense, so each pivot updates only the
-// nonzero columns of the scaled pivot row (see docs/PERFORMANCE.md, "LP
-// kernel").
+// relations. The solver is a bounded-variable dual simplex on a dense,
+// column-major tableau (see docs/PERFORMANCE.md, "LP kernel"):
+//
+// * Every row gets a slack column whose bounds encode its relation (an
+//   equality's slack is fixed to [0, 0]); variable bounds are implicit, so
+//   a nonbasic variable sits at either of its bounds. There are no
+//   artificial columns and no primal phase 1.
+// * A crash pivots each variable whose cost has the wrong sign for its
+//   only finite bound (the legalizers' net-box minima, cost -w) into a row
+//   where that cancels, so the legalizer's programs start dual feasible.
+//   Other programs that still are not get a dual phase 1 on the same
+//   tableau (box-bounded auxiliary problem).
+// * DualSimplex keeps its final basis: a re-solve after variable bounds
+//   change (branch-and-bound) starts from it instead of from scratch.
+//
+// Every Optimal answer carries its row duals and is checked by certify()
+// against the original problem; one that fails comes back Uncertified.
 //
 // solve_milp() (see milp.hpp) adds branch-and-bound over variables marked
 // integer — in this project the device-flipping binaries of the ILP detailed
 // placer (paper Eq. 4d/4j).
 
+#include <cstdint>
 #include <limits>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -41,6 +56,9 @@ enum class LpStatus : std::uint8_t {
   Infeasible,
   Unbounded,
   IterLimit,
+  /// The kernel stopped at an optimum whose certificate failed (numerical
+  /// trouble); the answer is not trusted.
+  Uncertified,
 };
 
 [[nodiscard]] const char* to_string(LpStatus s);
@@ -48,8 +66,11 @@ enum class LpStatus : std::uint8_t {
 struct LpSolution {
   LpStatus status = LpStatus::IterLimit;
   std::vector<double> x;  ///< values of the natural variables
+  /// Row duals y, one per constraint (Optimal only), for min c'x with
+  /// reduced costs d = c - A'y: y <= 0 on <= rows, y >= 0 on >= rows.
+  std::vector<double> duals;
   double objective = 0.0;
-  long pivots = 0;  ///< simplex pivots taken, both phases
+  long pivots = 0;  ///< simplex pivots taken, crash and phase 1 included
 
   [[nodiscard]] bool ok() const { return status == LpStatus::Optimal; }
 };
@@ -80,6 +101,8 @@ class LpProblem {
   }
   [[nodiscard]] double lower_bound(int v) const { return lo_[v]; }
   [[nodiscard]] double upper_bound(int v) const { return hi_[v]; }
+  [[nodiscard]] std::span<const double> lower_bounds() const { return lo_; }
+  [[nodiscard]] std::span<const double> upper_bounds() const { return hi_; }
   [[nodiscard]] double cost(int v) const { return cost_[v]; }
   [[nodiscard]] bool is_integer(int v) const { return integer_[v]; }
   [[nodiscard]] const std::string& name(int v) const { return names_[v]; }
@@ -95,14 +118,56 @@ class LpProblem {
 };
 
 struct SimplexOptions {
-  /// Per-phase iteration cap; 0 = automatic, 60 * (rows + columns) + 2000
-  /// where rows include the variable-bound rows and columns count the
-  /// structural, slack and artificial columns of the standard form.
+  /// Cap on the dual simplex pivots of one solve (dual phase 1 included;
+  /// the crash adds at most one pivot per row on top); 0 = automatic,
+  /// 60 * (rows + columns) + 2000 where the columns count the variables and
+  /// one slack per row.
   long max_iters = 0;
   double tol = 1e-9;   ///< pivot / feasibility tolerance
 };
 
-/// Solve the LP relaxation (integrality marks ignored).
+/// Dual simplex over one LpProblem whose variable bounds may change between
+/// solves. The first solve loads the tableau cold. Each later solve starts
+/// from the final basis of the one before: the bound changes shift the
+/// basic values, the basis stays dual feasible, and dual pivots restore
+/// primal feasibility (counted in `solver/lp/warm_starts`).
+///
+/// The tableau lives in the per-thread workspace of the thread that made
+/// the solver, which must also run its solves. A solve on that thread by
+/// any other solver in between (solve_lp included) makes the next solve of
+/// this one cold again, so answers never depend on what else ran.
+class DualSimplex {
+ public:
+  explicit DualSimplex(const LpProblem& p, SimplexOptions opts = {});
+  ~DualSimplex();
+  DualSimplex(const DualSimplex&) = delete;
+  DualSimplex& operator=(const DualSimplex&) = delete;
+
+  /// Solve the LP relaxation of `p` (integrality ignored) with variable
+  /// bounds [lo, hi] in place of p's.
+  [[nodiscard]] LpSolution solve(std::span<const double> lo,
+                                 std::span<const double> hi);
+
+ private:
+  struct Impl;
+  std::unique_ptr<Impl> impl_;
+};
+
+/// Solve the LP relaxation (integrality marks ignored), cold.
 [[nodiscard]] LpSolution solve_lp(const LpProblem& p, SimplexOptions opts = {});
+
+/// Optimality certificate of `s` for `p` under bounds [lo, hi], checked
+/// against the problem rather than any tableau, in O(nonzeros):
+/// * primal: every row holds and every x within its bounds;
+/// * dual: each reduced cost d = c - A'y has the sign its variable's bound
+///   position allows (zero strictly inside), each row dual the sign its
+///   relation allows and zero on a slack row;
+/// * gap: c'x equals the dual objective b'y + sum d_j * bound_j, and the
+///   reported objective, within 1e-9 of the sum of |c_j x_j| and |b_i y_i|.
+/// Tolerances are 1e-7, relative to each row's and column's magnitude.
+[[nodiscard]] bool certify(const LpProblem& p, std::span<const double> lo,
+                           std::span<const double> hi, const LpSolution& s);
+/// Same, under p's own bounds.
+[[nodiscard]] bool certify(const LpProblem& p, const LpSolution& s);
 
 }  // namespace aplace::solver

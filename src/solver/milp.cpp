@@ -14,6 +14,7 @@ namespace {
 struct Node {
   // Bound overrides: (var, lo, hi) triples accumulated down the branch.
   std::vector<std::tuple<int, double, double>> bounds;
+  double parent_objective = -kInf;  ///< relaxation bound for the gap
 };
 
 // Most fractional integer variable, or nullopt when integral.
@@ -44,9 +45,16 @@ MilpSolution solve_milp(const LpProblem& p, MilpOptions opts) {
 
   std::vector<Node> stack;
   stack.push_back(Node{});
-  bool truncated = false;
 
-  LpProblem work = p;  // bounds mutated per node, structure shared
+  // One solver for every node: each solve restarts from the basis the one
+  // before it left. Bounds are rebuilt per node from the original ones.
+  DualSimplex lp(p, opts.simplex);
+  const std::size_t n = p.num_variables();
+  std::vector<double> lo(n), hi(n);
+  const auto reset_bounds = [&] {
+    std::copy(p.lower_bounds().begin(), p.lower_bounds().end(), lo.begin());
+    std::copy(p.upper_bounds().begin(), p.upper_bounds().end(), hi.begin());
+  };
   // The root node solves p itself; the rounding fallback reuses its answer.
   std::optional<LpSolution> root;
 
@@ -60,24 +68,20 @@ MilpSolution solve_milp(const LpProblem& p, MilpOptions opts) {
     ++best.nodes_explored;
     nodes.inc();
 
-    // Apply node bounds on a fresh copy of the original bounds.
-    for (std::size_t j = 0; j < p.num_variables(); ++j) {
-      work.set_bounds(static_cast<int>(j),
-                      p.lower_bound(static_cast<int>(j)),
-                      p.upper_bound(static_cast<int>(j)));
-    }
+    reset_bounds();
     bool bounds_ok = true;
-    for (auto [var, lo, hi] : node.bounds) {
+    for (auto [var, l, h] : node.bounds) {
       // Intersect with overrides applied earlier along this branch so a
       // later bound never loosens an earlier one.
-      const double new_lo = std::max(lo, work.lower_bound(var));
-      const double new_hi = std::min(hi, work.upper_bound(var));
+      const double new_lo = std::max(l, lo[var]);
+      const double new_hi = std::min(h, hi[var]);
       if (new_lo > new_hi) { bounds_ok = false; break; }
-      work.set_bounds(var, new_lo, new_hi);
+      lo[var] = new_lo;
+      hi[var] = new_hi;
     }
     if (!bounds_ok) continue;
 
-    const LpSolution rel = solve_lp(work, opts.simplex);
+    const LpSolution rel = lp.solve(lo, hi);
     if (node.bounds.empty()) root = rel;
     if (rel.status == LpStatus::Unbounded) {
       // MILP unbounded only if relaxation unbounded at the root.
@@ -109,49 +113,53 @@ MilpSolution solve_milp(const LpProblem& p, MilpOptions opts) {
     Node down = node, up = node;
     down.bounds.emplace_back(var, p.lower_bound(var), std::floor(val));
     up.bounds.emplace_back(var, std::ceil(val), p.upper_bound(var));
+    down.parent_objective = up.parent_objective = rel.objective;
     // Overrides only accumulate here; applying a node intersects them with
     // the earlier ones on the same variable (see the loop above).
     stack.push_back(std::move(up));
     stack.push_back(std::move(down));
   }
-  if (!stack.empty()) truncated = true;
+  const bool truncated = !stack.empty();
   best.proven_optimal = best.status == LpStatus::Optimal && !truncated;
   if (truncated) truncations.inc();
 
   if (best.status != LpStatus::Optimal) {
     // Rounding fallback: take the relaxation (the root node's solve, unless
     // the budget ran out before the root), fix every integer variable to its
-    // rounded value, re-solve. Guarantees an answer when fixing keeps the
-    // problem feasible (flipping binaries always do).
-    const LpSolution rel = root ? std::move(*root) : solve_lp(p, opts.simplex);
-    if (rel.ok()) {
-      bool roundable = true;
-      for (std::size_t j = 0; j < p.num_variables(); ++j) {
-        const double lo = p.lower_bound(static_cast<int>(j));
-        const double hi = p.upper_bound(static_cast<int>(j));
-        work.set_bounds(static_cast<int>(j), lo, hi);
-        if (p.is_integer(static_cast<int>(j))) {
-          // Round toward the nearest integer *inside* the original bounds;
-          // if none exists the problem has no integral solution here.
-          double r = std::round(rel.x[j]);
-          if (r < lo) r = std::ceil(lo - 1e-9);
-          if (r > hi) r = std::floor(hi + 1e-9);
-          if (r < lo - 1e-9 || r > hi + 1e-9) {
-            roundable = false;
-            break;
-          }
-          work.set_bounds(static_cast<int>(j), r, r);
-        }
-      }
-      if (!roundable) return best;
-      const LpSolution fixed = solve_lp(work, opts.simplex);
-      if (fixed.ok()) {
-        best.status = LpStatus::Optimal;
-        best.x = fixed.x;
-        best.objective = fixed.objective;
-        best.proven_optimal = false;
-      }
+    // rounded value, re-solve from the last basis. Guarantees an answer when
+    // fixing keeps the problem feasible (flipping binaries always do).
+    reset_bounds();
+    const LpSolution rel = root ? std::move(*root) : lp.solve(lo, hi);
+    if (!rel.ok()) {
+      // Report why the relaxation gave nothing (iteration limit, failed
+      // certificate); an infeasible one leaves the MILP infeasible.
+      if (rel.status != LpStatus::Infeasible) best.status = rel.status;
+      return best;
     }
+    for (std::size_t j = 0; j < n; ++j) {
+      if (!p.is_integer(static_cast<int>(j))) continue;
+      // Round toward the nearest integer *inside* the original bounds;
+      // if none exists the problem has no integral solution here.
+      double r = std::round(rel.x[j]);
+      if (r < lo[j]) r = std::ceil(lo[j] - 1e-9);
+      if (r > hi[j]) r = std::floor(hi[j] + 1e-9);
+      if (r < lo[j] - 1e-9 || r > hi[j] + 1e-9) return best;
+      lo[j] = hi[j] = r;
+    }
+    const LpSolution fixed = lp.solve(lo, hi);
+    if (!fixed.ok()) return best;
+    best.status = LpStatus::Optimal;
+    best.x = fixed.x;
+    best.objective = fixed.objective;
+    best.proven_optimal = false;
+  }
+  if (!best.proven_optimal) {
+    double bound = best.objective;
+    for (const Node& node : stack) {
+      bound = std::min(bound, node.parent_objective);
+    }
+    best.gap =
+        (best.objective - bound) / std::max(1.0, std::abs(best.objective));
   }
   return best;
 }

@@ -8,6 +8,12 @@
 // a rounding fallback guarantees an integral answer whenever the relaxation
 // is feasible and rounding preserves feasibility (true for the flipping
 // binaries, which never constrain other variables).
+//
+// Nodes differ from each other only in variable bounds, so one DualSimplex
+// serves the whole search: the root loads cold and every later node, and
+// the rounding fallback, restarts from the final basis of the node solved
+// just before it. Only state from the same call is reused, so answers do
+// not depend on the thread or on what it solved earlier.
 
 #include "base/cancel.hpp"
 #include "base/deadline.hpp"
@@ -35,6 +41,11 @@ struct MilpSolution {
   long nodes_explored = 0;
   bool proven_optimal = false;  ///< false when the node limit truncated search
   bool deadline_hit = false;    ///< the wall-clock budget truncated the search
+  /// Relative optimality gap of `objective`: (objective - best bound) /
+  /// max(1, |objective|), where the best bound is the lowest relaxation
+  /// objective among the nodes left open (each carries its parent's). 0
+  /// when proven optimal; +inf when no relaxation bound exists.
+  double gap = 0.0;
 
   [[nodiscard]] bool ok() const { return status == LpStatus::Optimal; }
 };

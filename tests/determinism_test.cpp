@@ -254,7 +254,12 @@ TEST_F(DeterminismTest, GoldenQualityPinnedAcrossFullCircuitRegistry) {
       {"SCF", 352.50000000000006, 1935, 0},
       {"VGA", 105.09999999999999, 208, 0},
       {"VCO1", 212.5, 374, 0},
-      {"VCO2", 391.19999999999999, 812, 0},
+      // VCO2's stage-1 area LP has several optimal vertices (objective 114
+      // either way); the dual simplex kernel lands on one whose stage-2
+      // answer does not snap to a legal grid placement, so the raw LP
+      // coordinates are kept, rounding included.
+      {"VCO2", 391.2000000000001, 812.00000001449985,
+       7.1054273576010019e-15},
   };
   ASSERT_EQ(std::size(kGolden), circuits::testcase_names().size());
 
@@ -275,8 +280,11 @@ TEST_F(DeterminismTest, EPlaceAGoldenQualityPinnedAcrossFullCircuitRegistry) {
   // The ePlace-A counterpart of the prior-work pin above, and the one that
   // sees the ILP legalizer: any drift in the LP vertex the simplex lands on
   // (pivot rule, tie-break or arithmetic) moves these doubles. Values were
-  // generated with the dense-tableau LP kernel, before the sparse-update
-  // kernel replaced it, so they also pin that the two agree end to end.
+  // generated with the dual simplex kernel. Its optimal objectives match the
+  // dense primal oracle's on every solve of these runs, but the root
+  // relaxation of each circuit's first MILP has several optimal vertices
+  // and the two kernels land on different ones, so branching, flips and the
+  // final placement differ from the primal kernel's pins.
   // Same rules as above: EXPECT_EQ, scalar kernel path, regenerate only for
   // an intentional algorithm change and say so in the commit message.
   //
@@ -295,17 +303,16 @@ TEST_F(DeterminismTest, EPlaceAGoldenQualityPinnedAcrossFullCircuitRegistry) {
     double hpwl, area, overlap_area;
   };
   constexpr Golden kGolden[] = {
-      {"Adder", 57.850000000000001, 64, 0},
-      {"CC-OTA", 111.5, 144, 0},
+      {"Adder", 55.849999999999994, 64, 0},
+      {"CC-OTA", 113.39999999999999, 144, 0},
       {"Comp1", 105.05000000000001, 130, 0},
-      {"Comp2", 165.5, 154, 0},
-      {"CM-OTA1", 85.700000000000003, 120, 0},
-      {"CM-OTA2", 153.5, 224, 0},
-      {"SCF", 372.39999999999998, 1292, 0},
-      {"VGA", 127, 135, 0},
-      {"VCO1", 224.29999999999998, 308, 0},
-      {"VCO2", 377.60000000000002, 407.99999999999994,
-       1.3411494137471891e-13},
+      {"Comp2", 163.5, 154, 0},
+      {"CM-OTA1", 93.599999999999994, 132, 0},
+      {"CM-OTA2", 159.30000000000001, 189, 0},
+      {"SCF", 385.19999999999993, 1296, 0},
+      {"VGA", 123.5, 144, 0},
+      {"VCO1", 228.09999999999999, 322, 0},
+      {"VCO2", 361.69999999999999, 391, 0},
   };
   ASSERT_EQ(std::size(kGolden), circuits::testcase_names().size());
 

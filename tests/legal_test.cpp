@@ -217,6 +217,26 @@ TEST(IlpDetailedTest, FullCircuitLegalFromSpreadStart) {
   EXPECT_TRUE(netlist::Evaluator(c).evaluate(r.placement).legal(1e-6));
 }
 
+TEST(IlpDetailedTest, TruncatedSearchReportsItsGap) {
+  // One branch-and-bound node cannot settle CC-OTA's flipping binaries, so
+  // the answer comes from the rounding fallback and must say so.
+  circuits::TestCase tc = circuits::make_testcase("CC-OTA");
+  const netlist::Circuit& c = tc.circuit;
+  const std::size_t n = c.num_devices();
+  std::vector<double> v(2 * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = 3.0 * static_cast<double>(i % 5);
+    v[n + i] = 3.0 * static_cast<double>(i / 5);
+  }
+  IlpOptions opts;
+  opts.max_nodes = 1;
+  const IlpResult r = IlpDetailedPlacer(test::compile(c), opts).place(v);
+  ASSERT_TRUE(r.ok());
+  EXPECT_FALSE(r.proven_optimal);
+  EXPECT_GE(r.gap, 0.0);
+  EXPECT_TRUE(netlist::Evaluator(c).evaluate(r.placement).legal(1e-6));
+}
+
 // --- two-stage LP ---------------------------------------------------------------
 
 TEST(TwoStageTest, LegalAndCompact) {

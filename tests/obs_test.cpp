@@ -289,4 +289,23 @@ TEST(ObsSolverCountersTest, CountedByEPlaceAAndSilentWhenDisabled) {
   EXPECT_EQ(read(), after);
 }
 
+TEST(ObsSolverCountersTest, BranchAndBoundWarmStartsAndCertifiesEverySolve) {
+  EnabledGuard guard;
+  obs::set_enabled(true);
+  const auto read = [](const char* name) -> std::uint64_t {
+    const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().scrape();
+    const auto* row = snap.find_counter(name);
+    return row != nullptr ? row->value : 0;
+  };
+  const std::uint64_t warm = read("solver/lp/warm_starts");
+  const std::uint64_t uncertified = read("solver/lp/uncertified");
+  const circuits::TestCase tc = circuits::make_testcase("CC-OTA");
+  core::EPlaceAOptions opts;
+  opts.candidates = 1;
+  opts.gp.num_starts = 1;
+  ASSERT_TRUE(core::run_eplace_a(tc.circuit, opts).ok());
+  EXPECT_GT(read("solver/lp/warm_starts"), warm);
+  EXPECT_EQ(read("solver/lp/uncertified"), uncertified);
+}
+
 }  // namespace
